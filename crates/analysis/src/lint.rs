@@ -18,7 +18,11 @@
 //! - `lock_order` — in the `server` crate, the batcher's `state` mutex is
 //!   never held (lexically, per function body) while acquiring the `gate`
 //!   mutex, and vice versa; `bump_and_notify` counts as a gate
-//!   acquisition since its body takes the gate.
+//!   acquisition since its body takes the gate. The engine `RwLock` is
+//!   never acquired while a guard of it is alive (std's `RwLock`
+//!   self-deadlocks on a write under the thread's own read guard), and the
+//!   apply mutex never under an engine guard: apply mutex → engine read →
+//!   (released) → engine write.
 //!
 //! Pragma syntax, on the violating line or the line(s) immediately above
 //! (a pragma covers the statement that follows it, up to the next `;` or
@@ -454,8 +458,33 @@ fn scan_sequences(
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LockKind {
+    /// The batcher's `state` mutex.
     State,
+    /// The batcher's `gate` mutex.
     Gate,
+    /// The server's engine `RwLock`, read or write side.
+    Engine,
+    /// The server's apply mutex.
+    Apply,
+}
+
+impl LockKind {
+    /// Why acquiring `self` while `held` is alive breaks the lock protocol,
+    /// if it does.
+    fn conflict_with(self, held: LockKind) -> Option<&'static str> {
+        use LockKind::{Apply, Engine, Gate, State};
+        match (held, self) {
+            (State, Gate) | (Gate, State) => {
+                Some("the batcher's locks must never nest (see batcher.rs module docs)")
+            }
+            (Engine, Engine) => Some(
+                "engine guards must never nest: std's RwLock self-deadlocks on a write under \
+                 the thread's own read guard (see server.rs \"Apply transactionality\")",
+            ),
+            (Engine, Apply) => Some("the apply mutex is taken before any engine lock"),
+            _ => None,
+        }
+    }
 }
 
 struct LiveGuard {
@@ -467,30 +496,35 @@ struct LiveGuard {
     name: Option<String>,
 }
 
-/// Lexical per-function-body tracking of the batcher's dual locks: the
-/// `state` mutex must never be held while acquiring the `gate` mutex, and
-/// vice versa — both critical sections stay leaf-level. Acquisition
-/// sites: `self.state.lock(` (state); `self.lock_gate(`, `self.gate.lock(`
-/// and `self.bump_and_notify(` (gate — `bump_and_notify`'s body takes the
-/// gate, so a call counts at the call site too).
+/// Lexical per-function-body tracking of the server's locks. The batcher's
+/// dual locks: the `state` mutex must never be held while acquiring the
+/// `gate` mutex, and vice versa — both critical sections stay leaf-level.
+/// Acquisition sites: `self.state.lock(` (state); `self.lock_gate(`,
+/// `self.gate.lock(` and `self.bump_and_notify(` (gate — `bump_and_notify`'s
+/// body takes the gate, so a call counts at the call site too). The apply
+/// path's locks, on any receiver: `<x>.engine.read(` / `<x>.engine.write(`
+/// (engine) never while an engine guard is alive, `<x>.apply_lock.lock(`
+/// (apply) never under an engine guard.
 fn scan_lock_order(code: &[&Token], src: &str, raw: &mut Vec<(&'static str, u32, String)>) {
     let text = |i: usize| code.get(i).map(|t| t.text(src)).unwrap_or("");
     let ident = |i: usize| {
         code.get(i).filter(|t| t.kind == TokKind::Ident).map(|t| t.text(src)).unwrap_or("")
     };
-    // `self . state . lock (` → Some(State); gate forms → Some(Gate).
+    // `<recv> . <field> . <method> (` → the lock kind and the `(` index.
     let acquisition = |i: usize| -> Option<(LockKind, usize)> {
-        if ident(i) != "self" || text(i + 1) != "." {
+        if ident(i).is_empty() || text(i + 1) != "." {
             return None;
         }
+        let on_self = ident(i) == "self";
+        let method = |name: &str| text(i + 3) == "." && ident(i + 4) == name && text(i + 5) == "(";
         match ident(i + 2) {
-            "state" if text(i + 3) == "." && ident(i + 4) == "lock" && text(i + 5) == "(" => {
-                Some((LockKind::State, i + 5))
+            "state" if on_self && method("lock") => Some((LockKind::State, i + 5)),
+            "gate" if on_self && method("lock") => Some((LockKind::Gate, i + 5)),
+            "lock_gate" | "bump_and_notify" if on_self && text(i + 3) == "(" => {
+                Some((LockKind::Gate, i + 3))
             }
-            "gate" if text(i + 3) == "." && ident(i + 4) == "lock" && text(i + 5) == "(" => {
-                Some((LockKind::Gate, i + 5))
-            }
-            "lock_gate" | "bump_and_notify" if text(i + 3) == "(" => Some((LockKind::Gate, i + 3)),
+            "engine" if method("read") || method("write") => Some((LockKind::Engine, i + 5)),
+            "apply_lock" if method("lock") => Some((LockKind::Apply, i + 5)),
             _ => None,
         }
     };
@@ -522,16 +556,13 @@ fn scan_lock_order(code: &[&Token], src: &str, raw: &mut Vec<(&'static str, u32,
             live.retain(|g| g.name.as_deref() != Some(name));
         }
         if let Some((kind, open_paren)) = acquisition(i) {
-            let conflicting = live.iter().find(|g| g.kind != kind);
-            if let Some(held) = conflicting {
+            let conflict =
+                live.iter().find_map(|g| kind.conflict_with(g.kind).map(|why| (g.kind, why)));
+            if let Some((held, why)) = conflict {
                 raw.push((
                     "lock_order",
                     code[i].line,
-                    format!(
-                        "acquiring the {kind:?} lock while the {:?} lock is held — the batcher's \
-                         locks must never nest (see batcher.rs module docs)",
-                        held.kind
-                    ),
+                    format!("acquiring the {kind:?} lock while the {held:?} lock is held — {why}"),
                 ));
             }
             // Bound (`let name = self...lock();` with no leading deref)
@@ -766,5 +797,62 @@ impl Batcher {
 }
 ";
         assert_eq!(rules_of("crates/server/src/x.rs", src), vec![("lock_order".to_string(), 5)]);
+    }
+
+    /// The shape of `server::serve_apply`: apply mutex first, the stage
+    /// under a block-scoped read guard, the commit under a block-scoped
+    /// write guard taken after the read guard died.
+    #[test]
+    fn lock_order_accepts_the_two_phase_apply_protocol() {
+        let src = "
+fn serve_apply(shared: &Shared) {
+    let _applying = shared.apply_lock.lock();
+    let staged = {
+        let engine = shared.engine.read();
+        engine.stage()
+    };
+    let committed = {
+        let mut engine = shared.engine.write();
+        engine.commit(staged)
+    };
+    let _ = committed;
+}
+fn serve_batch(shared: &Shared) {
+    let engine = shared.engine.read();
+    let _ = engine;
+}
+";
+        assert!(rules_of("crates/server/src/x.rs", src).is_empty());
+    }
+
+    /// Mutants of it: the write lock asked for under the thread's own read
+    /// guard (a self-deadlock on std's `RwLock`), and the apply mutex taken
+    /// under an engine guard.
+    #[test]
+    fn lock_order_flags_engine_nesting_and_a_late_apply_mutex() {
+        let upgrade = "
+fn serve_apply(shared: &Shared) {
+    let _applying = shared.apply_lock.lock();
+    let engine = shared.engine.read();
+    let staged = engine.stage();
+    let mut writer = shared.engine.write();
+    writer.commit(staged);
+}
+";
+        assert_eq!(
+            rules_of("crates/server/src/x.rs", upgrade),
+            vec![("lock_order".to_string(), 6)]
+        );
+        let late_mutex = "
+fn serve_apply(shared: &Shared) {
+    let engine = shared.engine.read();
+    let _applying = shared.apply_lock.lock();
+    let _ = engine;
+}
+";
+        assert_eq!(
+            rules_of("crates/server/src/x.rs", late_mutex),
+            vec![("lock_order".to_string(), 4)]
+        );
     }
 }

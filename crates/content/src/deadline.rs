@@ -74,3 +74,21 @@ impl Deadline {
         expired
     }
 }
+
+/// A started stopwatch on the monotonic clock — the serving crates' one way
+/// to time a section (the server's apply stage and commit counters) without
+/// reading `Instant::now()` themselves, so `clock_confined` keeps holding.
+#[derive(Debug)]
+pub struct Stopwatch(std::time::Instant);
+
+impl Stopwatch {
+    /// Start timing now.
+    pub fn start() -> Self {
+        Stopwatch(std::time::Instant::now())
+    }
+
+    /// Whole microseconds since [`Self::start`] (saturating).
+    pub fn elapsed_us(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+}

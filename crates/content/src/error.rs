@@ -33,6 +33,16 @@ pub enum ContentError {
         /// The capacity limit that would have been exceeded.
         limit: u64,
     },
+    /// A staged apply was handed to `commit` after the state it was staged
+    /// against had moved on (another effective batch committed in between).
+    /// The commit is refused *before* any state changes; stage the batch
+    /// again against the current state.
+    StaleStage {
+        /// The build stamp the stage read.
+        staged: u64,
+        /// The live build stamp it no longer matches.
+        live: u64,
+    },
     /// A deterministic fault injected by the `failpoints` test harness
     /// (only ever constructed with the `failpoints` cargo feature on).
     FaultInjected {
@@ -54,6 +64,9 @@ impl fmt::Display for ContentError {
             ContentError::Invariant(msg) => write!(f, "content invariant violated: {msg}"),
             ContentError::CapacityExceeded { what, limit } => {
                 write!(f, "capacity exceeded: more than {limit} {what}")
+            }
+            ContentError::StaleStage { staged, live } => {
+                write!(f, "stale staged apply: staged against build stamp {staged}, live is {live}")
             }
             ContentError::FaultInjected { site } => {
                 write!(f, "injected fault at failpoint `{site}`")
@@ -79,6 +92,8 @@ mod tests {
         assert!(e.to_string().contains("flickr"));
         let e = ContentError::CapacityExceeded { what: "indexed users", limit: 42 };
         assert_eq!(e.to_string(), "capacity exceeded: more than 42 indexed users");
+        let e = ContentError::StaleStage { staged: 3, live: 5 };
+        assert!(e.to_string().contains("stamp 3") && e.to_string().contains("live is 5"));
         let e = ContentError::FaultInjected { site: "content::site_apply".into() };
         assert!(e.to_string().contains("content::site_apply"));
     }

@@ -10,8 +10,9 @@
 //!
 //! The contract every site participates in: a fault fired *anywhere* in an
 //! apply leaves the site model, the indexes and the clustering
-//! byte-identical to their pre-apply state (stage → validate → commit; all
-//! failpoints sit before the commit), and a fault at [`DEADLINE`] makes the
+//! byte-identical to their pre-apply state (every apply failpoint sits in
+//! a `stage`, which only borrows the live state; `commit` has none), and a
+//! fault at [`DEADLINE`] makes the
 //! batch deadline report expiry — the defined partial-results degradation —
 //! without a wall clock in the test.
 
@@ -23,15 +24,15 @@ pub const SITE_APPLY: &str = "content::site_apply";
 /// recompute) but before validation and commit.
 pub const EXACT_APPLY_STAGE: &str = "content::exact_apply::stage";
 
-/// Fired in [`crate::ExactIndex`]'s apply after validation, immediately
-/// before the commit point.
+/// Fired in [`crate::ExactIndex`]'s apply after validation, as the last
+/// step of the stage — immediately before the commit point.
 pub const EXACT_APPLY_COMMIT: &str = "content::exact_apply::commit";
 
 /// Fired after the clustered apply's phase 1 (recluster-on-join, staged).
 pub const CLUSTERED_APPLY_PHASE1: &str = "content::clustered_apply::phase1";
 
-/// Fired after the clustered apply's phase 2 (refinement group changes,
-/// computed but not yet spliced).
+/// Fired after the clustered apply's phase 2 (refinement group changes
+/// computed, successor arena not yet assembled).
 pub const CLUSTERED_APPLY_PHASE2: &str = "content::clustered_apply::phase2";
 
 /// Fired after the clustered apply's phase 3 (bound recomputation and

@@ -157,11 +157,14 @@ const APPLY_MIN_UNITS_PER_SHARD: usize = 64;
 /// per shard, so results are identical either way).
 const SHARD_MIN_USERS: usize = 64;
 
-/// Monotonic build identity: every built [`ClusteredIndex`] gets a fresh
-/// non-zero stamp, which the cross-batch gather caches key on so a scratch
-/// arena reused against a *different* index can never serve stale spans
-/// (0 is reserved for default-constructed indexes, which never cache).
-fn next_build_stamp() -> u64 {
+/// Monotonic build identity: every built index (and site model) gets a
+/// fresh non-zero stamp, and every effective apply moves it. The
+/// cross-batch gather caches key on the clustered index's stamp so a scratch
+/// arena reused against a *different* index can never serve stale spans (0
+/// is reserved for default-constructed indexes, which never cache), and
+/// `commit` compares a staged apply's stamp against the live one to refuse a
+/// stage whose base has moved on.
+pub(crate) fn next_build_stamp() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
@@ -181,6 +184,46 @@ fn find_tag(by_tag: &[(TagId, PostingList)], tag: TagId) -> Option<&PostingList>
     by_tag.iter().find(|(t, _)| *t == tag).map(|(_, l)| l)
 }
 static EMPTY_LIST: PostingList = PostingList::new();
+
+/// Refuse a stage whose base stamp the live state has moved on from.
+pub(crate) fn check_stamp(staged: u64, live: u64) -> crate::Result<()> {
+    if staged == live {
+        Ok(())
+    } else {
+        Err(crate::ContentError::StaleStage { staged, live })
+    }
+}
+
+/// Whether a recomputed score differs from the stored one — what separates
+/// an effective patch from a redundant event's.
+fn score_moves(stored: Option<f64>, recomputed: f64) -> bool {
+    if recomputed > 0.0 {
+        stored != Some(recomputed)
+    } else {
+        stored.is_some()
+    }
+}
+
+/// The successor of every list a key-sorted patch run touches — one
+/// `(key, list)` per distinct key, ascending — each decoded once, patched
+/// and re-encoded beside the live list `live` resolves the key to
+/// ([`PostingList::patched`]; a key with no live list grows from empty).
+fn patched_lists<'a, K: Copy + PartialEq>(
+    patches: &[(K, NodeId, f64)],
+    layout: Layout,
+    live: impl Fn(K) -> Option<&'a PostingList>,
+) -> Vec<(K, PostingList)> {
+    let mut lists = Vec::new();
+    let mut run = 0usize;
+    while run < patches.len() {
+        let key = patches[run].0;
+        let len = patches[run..].iter().take_while(|patch| patch.0 == key).count();
+        let changes = patches[run..run + len].iter().map(|&(_, item, score)| (item, score));
+        lists.push((key, live(key).unwrap_or(&EMPTY_LIST).patched(changes, layout)));
+        run += len;
+    }
+    lists
+}
 
 /// The per-keyword posting lists of one query, inline for the usual small
 /// keyword counts.
@@ -464,6 +507,44 @@ pub struct ExactIndex {
     /// The physical layout every posting list is kept in (new lists created
     /// by `apply` follow it).
     layout: Layout,
+    /// Build identity (see [`Self::build_stamp`]). Process-local, so never
+    /// persisted.
+    #[serde(skip)]
+    stamp: u64,
+}
+
+/// A staged [`ExactIndex`] apply: everything [`ExactIndex::stage`] could
+/// work out from `&self` — the successor symbol table and the successor of
+/// every posting list the batch touches — waiting for
+/// [`ExactIndex::commit`]. After a successful commit the same value holds
+/// what the commit *replaced*; drop it away from any lock readers take.
+#[derive(Debug)]
+pub struct StagedExactApply {
+    /// Build stamp of the index the stage read.
+    base: u64,
+    /// The successor symbol table (the live one after commit).
+    tags: TagInterner,
+    /// `((user, tag), successor list)` for every list holding a score that
+    /// moves, ascending; an empty successor drops the list.
+    lists: Vec<((NodeId, TagId), PostingList)>,
+    /// Stored scores inserted, updated or removed across `lists`.
+    changed_entries: usize,
+    /// The user → slot table a row-membership change replaced, parked here
+    /// by the commit.
+    replaced_slots: FxHashMap<NodeId, u32>,
+}
+
+impl StagedExactApply {
+    /// What committing this stage changes (known up front: the stage keeps
+    /// only effective patches).
+    pub fn report(&self) -> ApplyReport {
+        ApplyReport { changed_entries: self.changed_entries, ..ApplyReport::default() }
+    }
+
+    /// The build stamp of the index the stage read.
+    pub fn base_stamp(&self) -> u64 {
+        self.base
+    }
 }
 
 impl ExactIndex {
@@ -597,7 +678,8 @@ impl ExactIndex {
             });
         }
         let slots = rebuild_slots(&users);
-        let mut index = ExactIndex { tags, slots, users, layout: Layout::Raw };
+        let mut index =
+            ExactIndex { tags, slots, users, layout: Layout::Raw, stamp: next_build_stamp() };
         let entries: usize =
             index.users.iter().flat_map(|(_, row)| row.iter()).map(|(_, l)| l.len()).sum();
         index.set_layout(layout.unwrap_or_else(|| auto_layout(entries)));
@@ -660,11 +742,13 @@ impl ExactIndex {
     /// network(u)` — and networks are stable under tag events — so the
     /// affected `(user, tag, item)` triples are enumerated and deduplicated
     /// up front, their new scores recomputed read-only in parallel shards,
-    /// and the lists patched sequentially by binary search
-    /// ([`PostingList::insert`] / [`PostingList::remove`]). Redundant
-    /// events (duplicate assigns, retracts of nothing) recompute to the
-    /// stored score and touch nothing, so replays are free and
-    /// [`ApplyReport::is_noop`] reports them honestly.
+    /// and every list holding a score that moved replaced by its patched
+    /// successor ([`PostingList::patched`]). Redundant events (duplicate
+    /// assigns, retracts of nothing) recompute to the stored score and
+    /// touch nothing, so replays are free and [`ApplyReport::is_noop`]
+    /// reports them honestly. The work is split in two —
+    /// [`Self::stage`] from `&self`, then [`Self::commit`] — so a server
+    /// can do the first half beside its readers.
     pub fn apply_with(
         &mut self,
         exec: &Exec,
@@ -676,10 +760,9 @@ impl ExactIndex {
     }
 
     /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: the apply stages its fallible work (tag interning on a
-    /// cloned symbol table, the sharded score recompute, capacity
-    /// validation) against read-only state, and only then commits — so an
-    /// `Err` return (capacity overflow, or an injected fault at
+    /// batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
+    /// lives in the stage, which only reads the index — so an `Err` return
+    /// (capacity overflow, or an injected fault at
     /// [`crate::faults::EXACT_APPLY_STAGE`] /
     /// [`crate::faults::EXACT_APPLY_COMMIT`]) leaves the index
     /// byte-identical to its pre-call state: same stats, same list per
@@ -690,10 +773,35 @@ impl ExactIndex {
         site: &SiteModel,
         events: &[TagEvent],
     ) -> crate::Result<ApplyReport> {
-        // Stage: intern event tags into a *cloned* symbol table (new tags
-        // get ids; queries compare by string, so id numbering never affects
-        // answers) — a fault below must not leave freshly interned tags
-        // behind in the live index.
+        let mut staged = self.stage(exec, site, events)?;
+        self.commit(&mut staged)
+    }
+
+    /// The index's build identity: a fresh non-zero stamp per build and per
+    /// *effective* [`Self::commit`] (0 for a default-constructed index). A
+    /// [`StagedExactApply`] remembers the stamp it was staged against, and
+    /// [`Self::commit`] refuses it once the live stamp has moved.
+    pub fn build_stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// The first half of an apply: everything fallible and everything
+    /// proportional to the batch's reach, computed from `&self` — queries
+    /// keep being served while it runs. Event tags intern into a *cloned*
+    /// symbol table (new tags get ids; queries compare by string, so id
+    /// numbering never affects answers); the affected `(user, tag, item)`
+    /// triples are enumerated and deduplicated, their new scores recomputed
+    /// read-only in parallel shards against the post-event `site`, compared
+    /// with the stored scores so only *effective* patches survive, and the
+    /// row count the patches imply is validated against the slot bound.
+    /// Both failpoints fire here. Same `site` contract as
+    /// [`Self::apply_with`].
+    pub fn stage(
+        &self,
+        exec: &Exec,
+        site: &SiteModel,
+        events: &[TagEvent],
+    ) -> crate::Result<StagedExactApply> {
         let mut staged_tags = self.tags.clone();
         let mut triples: Vec<(NodeId, TagId, NodeId)> = Vec::new();
         for event in events {
@@ -720,17 +828,26 @@ impl ExactIndex {
                     })
                     .collect()
             });
-        let scores: Vec<f64> = sharded.into_iter().flatten().collect();
-        // Validate: the patch below inserts one row per not-yet-indexed
-        // user that gained a positive score; the layout must stay within
-        // the slot bound. Triples are user-sorted, so new users group.
+        // Keep the triples whose stored score actually moves — redundant
+        // events recompute to the stored score and drop out here — and
+        // build the successor of every list they touch.
+        let patches: Vec<((NodeId, TagId), NodeId, f64)> = triples
+            .iter()
+            .zip(sharded.into_iter().flatten())
+            .filter(|&(&(user, tag, item), score)| {
+                let stored = self.list_by_id(tag, user).and_then(|list| list.score_of(item));
+                score_moves(stored, score)
+            })
+            .map(|(&(user, tag, item), score)| ((user, tag), item, score))
+            .collect();
+        let lists = patched_lists(&patches, self.layout, |(user, tag)| self.list_by_id(tag, user));
+        // Validate: the commit inserts one row per not-yet-indexed user
+        // that gained a list; the layout must stay within the slot bound.
+        // Lists are user-sorted, so new users group.
         let mut new_rows = 0u64;
         let mut last_new: Option<NodeId> = None;
-        for (&(user, _, _), &score) in triples.iter().zip(&scores) {
-            if score > 0.0
-                && last_new != Some(user)
-                && self.users.binary_search_by_key(&user, |(u, _)| *u).is_err()
-            {
+        for &((user, _), _) in &lists {
+            if last_new != Some(user) && !self.slots.contains_key(&user) {
                 new_rows += 1;
                 last_new = Some(user);
             }
@@ -742,70 +859,79 @@ impl ExactIndex {
             });
         }
         crate::faults::fire(crate::faults::EXACT_APPLY_COMMIT)?;
-        // Commit: from here on nothing can fail.
-        self.tags = staged_tags;
-        // Sequential patch phase. Row membership may change, which shifts
-        // slots — rows are found by binary search (the vector stays
-        // ascending) and the slot table is rebuilt once at the end.
-        let mut changed_entries = 0usize;
+        Ok(StagedExactApply {
+            base: self.stamp,
+            tags: staged_tags,
+            lists,
+            changed_entries: patches.len(),
+            replaced_slots: FxHashMap::default(),
+        })
+    }
+
+    /// Whether [`Self::commit`] would accept `staged`:
+    /// [`crate::ContentError::StaleStage`] when this index has moved on
+    /// from the build stamp the stage read. A composite commit (an engine's)
+    /// checks every part with this before it changes any.
+    pub fn check_current(&self, staged: &StagedExactApply) -> crate::Result<()> {
+        check_stamp(staged.base, self.stamp)
+    }
+
+    /// The second half of an apply: land a [`Self::stage`]d batch. Past the
+    /// staleness check — [`crate::ContentError::StaleStage`] when another
+    /// effective batch committed since the stage, index untouched — nothing
+    /// can fail, and the work is one handle swap per touched list: the
+    /// staged symbol table swaps in, each successor list trades places
+    /// with the live one (found by binary search over the rows), the slot
+    /// table is rebuilt only when row membership changed, and the build
+    /// stamp moves. A stage that moves no score commits as a true no-op
+    /// (stamp parked). What the commit replaced is left in `staged`: no
+    /// list, table or arena is freed here, so a caller holding a lock drops
+    /// `staged` after releasing it.
+    pub fn commit(&mut self, staged: &mut StagedExactApply) -> crate::Result<ApplyReport> {
+        self.check_current(staged)?;
+        let report = staged.report();
+        if report.is_noop() {
+            return Ok(report);
+        }
+        std::mem::swap(&mut self.tags, &mut staged.tags);
+        // Row membership may change, which shifts slots — rows are found
+        // by binary search (the vector stays ascending) and the slot table
+        // is rebuilt once at the end.
         let mut membership_dirty = false;
-        for (&(user, tag, item), &score) in triples.iter().zip(&scores) {
-            match self.users.binary_search_by_key(&user, |(u, _)| *u) {
+        for ((user, tag), successor) in &mut staged.lists {
+            match self.users.binary_search_by_key(user, |(u, _)| *u) {
                 Ok(pos) => {
                     let by_tag = &mut self.users[pos].1;
-                    match by_tag.iter_mut().find(|(t, _)| *t == tag) {
-                        Some((_, list)) => {
-                            let stored = list.score_of(item);
-                            if score > 0.0 {
-                                if stored == Some(score) {
-                                    continue;
-                                }
-                                list.remove(item);
-                                list.insert(item, score);
-                                // Draining a one-entry packed list lands on
-                                // the canonical Empty, so the re-insert
-                                // grows back raw; re-assert the index
-                                // layout (no-op in every other case).
-                                list.set_layout(self.layout);
-                                changed_entries += 1;
-                            } else if stored.is_some() {
-                                list.remove(item);
-                                changed_entries += 1;
-                                if list.is_empty() {
-                                    by_tag.retain(|(t, _)| *t != tag);
-                                    if by_tag.is_empty() {
-                                        self.users.remove(pos);
-                                        membership_dirty = true;
-                                    }
+                    match by_tag.iter().position(|(t, _)| t == tag) {
+                        Some(at) => {
+                            std::mem::swap(&mut by_tag[at].1, successor);
+                            if by_tag[at].1.is_empty() {
+                                by_tag.remove(at);
+                                if by_tag.is_empty() {
+                                    self.users.remove(pos);
+                                    membership_dirty = true;
                                 }
                             }
                         }
-                        None if score > 0.0 => {
-                            let mut list = PostingList::new();
-                            list.insert(item, score);
-                            list.set_layout(self.layout);
-                            let at = by_tag.partition_point(|(t, _)| *t < tag);
-                            by_tag.insert(at, (tag, list));
-                            changed_entries += 1;
+                        None if !successor.is_empty() => {
+                            let at = by_tag.partition_point(|(t, _)| t < tag);
+                            by_tag.insert(at, (*tag, std::mem::take(successor)));
                         }
                         None => {}
                     }
                 }
-                Err(pos) if score > 0.0 => {
-                    let mut list = PostingList::new();
-                    list.insert(item, score);
-                    list.set_layout(self.layout);
-                    self.users.insert(pos, (user, vec![(tag, list)]));
+                Err(pos) if !successor.is_empty() => {
+                    self.users.insert(pos, (*user, vec![(*tag, std::mem::take(successor))]));
                     membership_dirty = true;
-                    changed_entries += 1;
                 }
                 Err(_) => {}
             }
         }
         if membership_dirty {
-            self.slots = rebuild_slots(&self.users);
+            staged.replaced_slots = std::mem::replace(&mut self.slots, rebuild_slots(&self.users));
         }
-        Ok(ApplyReport { changed_entries, ..ApplyReport::default() })
+        self.stamp = next_build_stamp();
+        Ok(report)
     }
 
     /// The tag symbol table the index is keyed on.
@@ -1350,6 +1476,57 @@ pub struct ClusteredQueryReport {
     pub deadline_expired: bool,
 }
 
+/// A staged [`ClusteredIndex`] apply: everything [`ClusteredIndex::stage`]
+/// could work out from `&self` — successor symbol table, clustering and
+/// refinement index, the successor of every bound list the batch touches
+/// and, when bound lists appear or empty, the successor pool layout —
+/// waiting for
+/// [`ClusteredIndex::commit`]. After a successful commit the same value
+/// holds what the commit *replaced*; drop it away from any lock readers
+/// take.
+#[derive(Debug)]
+pub struct StagedClusteredApply {
+    /// Build stamp of the index the stage read.
+    base: u64,
+    /// The successor symbol table (the live one after commit).
+    tags: TagInterner,
+    /// The successor clustering, late joiners folded in.
+    clustering: UserClustering,
+    /// The successor refinement index, when any tagger group changed.
+    refinement: Option<RefinementIndex>,
+    /// `((tag, cluster), successor list)` for every bound list holding a
+    /// bound that moves, ascending; an empty successor drops the list.
+    lists: Vec<((TagId, ClusterId), PostingList)>,
+    /// The successor pool layout, when bound lists appear or empty.
+    relayout: Option<PoolRelayout>,
+    report: ApplyReport,
+}
+
+impl StagedClusteredApply {
+    /// What committing this stage changes (known up front: the stage keeps
+    /// only effective patches).
+    pub fn report(&self) -> ApplyReport {
+        self.report
+    }
+}
+
+/// The canonical pool layout — ascending keys, no empty lists — after a
+/// batch whose patches create or drain bound lists, planned by the stage so
+/// the commit only moves list handles.
+#[derive(Debug)]
+struct PoolRelayout {
+    /// The successor `(tag, cluster)` → slot table.
+    list_ids: FxHashMap<(TagId, ClusterId), u32>,
+    /// The successor pool: allocated by the stage, filled by the commit.
+    list_pool: Vec<PostingList>,
+    /// For each successor slot, where its list comes from: a live pool
+    /// slot, or — past the live pool's length — an entry of `created`.
+    sources: Vec<u32>,
+    /// The staged lists the batch creates, as indexes into
+    /// [`StagedClusteredApply::lists`], in key order.
+    created: Vec<usize>,
+}
+
 impl ClusteredIndex {
     /// Build the clustered index for a given clustering: the bound stored
     /// for `(k, C, i)` is `max_{u ∈ C} score_k(i, u)`. The same pass feeds
@@ -1586,12 +1763,18 @@ impl ClusteredIndex {
     ///    additionally raise its new cluster's bounds for every item the
     ///    joiner scores on. Exactly those keys are enumerated,
     ///    deduplicated, recomputed read-only in parallel shards (max over
-    ///    the cluster's members), and patched sequentially; the pool
-    ///    re-sorts to its canonical ascending key order only when lists
-    ///    appeared or emptied.
+    ///    the cluster's members), and every bound list holding a bound that
+    ///    moved replaced by its patched successor
+    ///    ([`PostingList::patched`]); the pool is re-laid-out to its
+    ///    canonical ascending key order only when lists appeared or
+    ///    emptied.
     /// 4. **Stamp bump** — only if anything changed, so a redundant batch
     ///    is a true no-op and warm gather caches stay valid; any effective
     ///    change moves [`Self::build_stamp`] and invalidates them.
+    ///
+    /// Phases 1–3 are [`Self::stage`] (from `&self`, every successor built
+    /// beside the live state), the swap-in and phase 4 are
+    /// [`Self::commit`] — so a server can stage beside its readers.
     pub fn apply_with(
         &mut self,
         exec: &Exec,
@@ -1603,27 +1786,42 @@ impl ClusteredIndex {
     }
 
     /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: the four phases run in *staged* form — joins against a
-    /// cloned clustering, tag interning against a cloned symbol table,
-    /// refinement changes computed but not spliced, bounds recomputed
-    /// read-only and capacity-validated — and only then does everything
-    /// commit together, after the last fallible step. An `Err` return
+    /// batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
+    /// lives in the stage, which only reads the index — so an `Err` return
     /// (capacity overflow, or an injected fault at any of
     /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
     /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
-    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`]) therefore leaves the
-    /// index byte-identical to its pre-call state — bound lists,
-    /// refinement groups, clustering, build stamp — so site + index +
-    /// clustering can never be observed torn.
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`]) leaves the index
+    /// byte-identical to its pre-call state — bound lists, refinement
+    /// groups, clustering, build stamp — so site + index + clustering can
+    /// never be observed torn.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         site: &SiteModel,
         events: &[TagEvent],
     ) -> crate::Result<ApplyReport> {
-        // Stage: all interning goes through a cloned symbol table, all
-        // joins through a cloned clustering — a fault below must not leave
-        // fresh tags or cluster assignments behind in the live index.
+        let mut staged = self.stage(exec, site, events)?;
+        self.commit(&mut staged)
+    }
+
+    /// The first half of an apply: phases 1–3 of [`Self::apply_with`] in
+    /// staged form, computed from `&self` — queries keep being served while
+    /// it runs. Joins go through a cloned clustering, tag interning through
+    /// a cloned symbol table; changed tagger groups are collected and the
+    /// successor refinement index is assembled beside the live one
+    /// (`RefinementIndex::spliced`); affected bounds are recomputed
+    /// read-only in parallel shards and compared with the stored bounds so
+    /// only *effective* patches survive; the successor pool layout is
+    /// planned when lists appear or empty, and validated against the slot
+    /// bound. All three failpoints fire here. Same `site` contract as
+    /// [`Self::apply_with`].
+    pub fn stage(
+        &self,
+        exec: &Exec,
+        site: &SiteModel,
+        events: &[TagEvent],
+    ) -> crate::Result<StagedClusteredApply> {
         let mut staged_tags = self.tags.clone();
         let event_tags: Vec<TagId> = events.iter().map(|e| staged_tags.intern(e.tag())).collect();
         // Phase 1 (staged): recluster-on-join.
@@ -1654,7 +1852,7 @@ impl ClusteredIndex {
         }
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE1)?;
         // Phase 2 (staged): refinement changes — only groups whose content
-        // moved — computed against the live arena, spliced at commit.
+        // moved — computed against the live arena.
         let mut group_changes: FxHashMap<(TagId, NodeId), Vec<NodeId>> = FxHashMap::default();
         for (event, &tag) in events.iter().zip(&event_tags) {
             let key = (tag, event.item());
@@ -1666,7 +1864,6 @@ impl ClusteredIndex {
                 group_changes.insert(key, new.to_vec());
             }
         }
-        let changed_groups = group_changes.len();
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE2)?;
         // Phase 3 (staged): affected bound keys — event effects through
         // the tagger's network members' clusters, join effects through the
@@ -1714,106 +1911,158 @@ impl ClusteredIndex {
                     })
                     .collect()
             });
-        let bounds: Vec<f64> = sharded.into_iter().flatten().collect();
-        // Validate: the patch below pools one new list per absent
-        // `(tag, cluster)` key that gained a positive bound; the layout
-        // must stay within the slot bound. Affected keys are sorted, so
-        // new keys group.
-        let mut new_lists = 0u64;
-        let mut last_new: Option<(TagId, ClusterId)> = None;
-        for (&(tag, cluster, _), &bound) in affected.iter().zip(&bounds) {
-            if bound > 0.0
-                && last_new != Some((tag, cluster))
-                && !self.list_ids.contains_key(&(tag, cluster))
-            {
-                new_lists += 1;
-                last_new = Some((tag, cluster));
-            }
-        }
-        if self.list_pool.len() as u64 + new_lists > MAX_LAYOUT_SLOTS {
+        // Keep the keys whose stored bound actually moves, and build the
+        // successor of every bound list they touch.
+        let patches: Vec<((TagId, ClusterId), NodeId, f64)> = affected
+            .iter()
+            .zip(sharded.into_iter().flatten())
+            .filter(|&(&(tag, cluster, item), bound)| {
+                let stored = self.list_by_id(tag, cluster).and_then(|list| list.score_of(item));
+                score_moves(stored, bound)
+            })
+            .map(|(&(tag, cluster, item), bound)| ((tag, cluster), item, bound))
+            .collect();
+        let lists =
+            patched_lists(&patches, self.layout, |(tag, cluster)| self.list_by_id(tag, cluster));
+        // Validate: the successor pool gains one list per staged list whose
+        // key has no live list; it must stay within the slot bound.
+        let created: Vec<usize> = (0..lists.len())
+            .filter(|&staged| !self.list_ids.contains_key(&lists[staged].0))
+            .collect();
+        if (self.list_pool.len() + created.len()) as u64 > MAX_LAYOUT_SLOTS {
             return Err(crate::ContentError::CapacityExceeded {
                 what: "bound lists",
                 limit: MAX_LAYOUT_SLOTS,
             });
         }
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE3)?;
-        // Commit: from here on nothing can fail. The staged symbol table
-        // and clustering swap in, the refinement splice lands, and the
-        // patch below only performs pre-validated inserts.
-        self.tags = staged_tags;
-        self.clustering = staged_clustering;
-        if changed_groups > 0 {
-            self.refinement.splice(&group_changes);
+        // Past the last fallible step: assemble the remaining successors.
+        let report = ApplyReport {
+            changed_entries: patches.len(),
+            changed_groups: group_changes.len(),
+            cluster_joins: joins.len(),
+        };
+        Ok(StagedClusteredApply {
+            base: self.stamp,
+            tags: staged_tags,
+            clustering: staged_clustering,
+            refinement: (!group_changes.is_empty())
+                .then(|| self.refinement.spliced(&group_changes)),
+            relayout: self.plan_relayout(&lists, created),
+            lists,
+            report,
+        })
+    }
+
+    /// Plan the canonical successor pool — ascending key order, no empty
+    /// lists, so the delta-maintained index stays indistinguishable from a
+    /// rebuild, list for list — for a batch whose staged `lists` (key
+    /// ascending) create the lists at the `created` indexes and drain every
+    /// live list whose successor is empty. `None` when the batch does
+    /// neither.
+    fn plan_relayout(
+        &self,
+        lists: &[((TagId, ClusterId), PostingList)],
+        created: Vec<usize>,
+    ) -> Option<PoolRelayout> {
+        // Created lists are never empty (a key with no live list only
+        // gains entries), so an empty successor always drains a live list.
+        let emptied: Vec<u32> = lists
+            .iter()
+            .filter(|(_, successor)| successor.is_empty())
+            .filter_map(|(key, _)| self.list_ids.get(key).copied())
+            .collect();
+        if created.is_empty() && emptied.is_empty() {
+            return None;
         }
-        // Sequential patch phase.
-        let mut changed_entries = 0usize;
-        let mut layout_dirty = false;
-        for (&(tag, cluster, item), &bound) in affected.iter().zip(&bounds) {
-            match self.list_ids.get(&(tag, cluster)).copied() {
-                Some(slot) => {
-                    let list = &mut self.list_pool[slot as usize];
-                    let stored = list.score_of(item);
-                    if bound > 0.0 {
-                        if stored == Some(bound) {
-                            continue;
-                        }
-                        list.remove(item);
-                        list.insert(item, bound);
-                        // As in the exact patch phase: a drained one-entry
-                        // packed list regrows raw via Empty; re-assert the
-                        // pool layout (no-op otherwise).
-                        list.set_layout(self.layout);
-                        changed_entries += 1;
-                    } else if stored.is_some() {
-                        list.remove(item);
-                        changed_entries += 1;
-                        if list.is_empty() {
-                            layout_dirty = true;
-                        }
-                    }
-                }
-                None if bound > 0.0 => {
-                    // Validated against MAX_LAYOUT_SLOTS above: cannot
-                    // truncate.
-                    let slot = self.list_pool.len() as u32;
-                    let mut list = PostingList::new();
-                    list.insert(item, bound);
-                    list.set_layout(self.layout);
-                    self.list_ids.insert((tag, cluster), slot);
-                    self.list_pool.push(list);
-                    changed_entries += 1;
-                    layout_dirty = true;
-                }
-                None => {}
+        let live_len = self.list_pool.len();
+        // The live pool is in canonical order, so its keys by slot are
+        // ascending — as are `emptied` (from key-ascending lists) and
+        // `created`.
+        let mut keys = vec![(TagId(0), ClusterId(0)); live_len];
+        for (&key, &slot) in &self.list_ids {
+            keys[slot as usize] = key;
+        }
+        let next_len = live_len + created.len() - emptied.len();
+        let mut list_ids: FxHashMap<(TagId, ClusterId), u32> =
+            FxHashMap::with_capacity_and_hasher(next_len, FxBuildHasher::default());
+        let mut sources: Vec<u32> = Vec::with_capacity(next_len);
+        // Validated against MAX_LAYOUT_SLOTS by the caller: the casts below
+        // cannot truncate.
+        let mut place = |key: (TagId, ClusterId), source: usize| {
+            list_ids.insert(key, sources.len() as u32);
+            sources.push(source as u32);
+        };
+        let mut fresh = created.iter().map(|&staged| lists[staged].0).enumerate().peekable();
+        let mut gone = emptied.iter().peekable();
+        for (slot, &key) in keys.iter().enumerate() {
+            while let Some((nth, new_key)) = fresh.next_if(|&(_, new_key)| new_key < key) {
+                place(new_key, live_len + nth);
+            }
+            if gone.next_if(|&&emptied| emptied as usize == slot).is_none() {
+                place(key, slot);
             }
         }
-        if layout_dirty {
-            // Restore the canonical pool layout — ascending key order,
-            // no empty lists — so the delta-maintained index is
-            // indistinguishable from a rebuild, list for list.
-            let mut keyed: Vec<((TagId, ClusterId), PostingList)> = self
-                .list_ids
-                .drain()
-                .map(|(key, slot)| (key, std::mem::take(&mut self.list_pool[slot as usize])))
-                .filter(|(_, list)| !list.is_empty())
-                .collect();
-            keyed.sort_unstable_by_key(|&(key, _)| key);
-            self.list_pool = Vec::with_capacity(keyed.len());
-            self.list_ids =
-                FxHashMap::with_capacity_and_hasher(keyed.len(), FxBuildHasher::default());
-            for (key, list) in keyed {
-                // The re-layout only drops empty lists, so the validated
-                // bound still holds.
-                let slot = self.list_pool.len() as u32;
-                self.list_ids.insert(key, slot);
-                self.list_pool.push(list);
+        for (nth, new_key) in fresh {
+            place(new_key, live_len + nth);
+        }
+        Some(PoolRelayout { list_ids, list_pool: Vec::with_capacity(next_len), sources, created })
+    }
+
+    /// Whether [`Self::commit`] would accept `staged`:
+    /// [`crate::ContentError::StaleStage`] when this index has moved on
+    /// from the build stamp the stage read. A composite commit (an engine's)
+    /// checks every part with this before it changes any.
+    pub fn check_current(&self, staged: &StagedClusteredApply) -> crate::Result<()> {
+        check_stamp(staged.base, self.stamp)
+    }
+
+    /// The second half of an apply: land a [`Self::stage`]d batch. Past the
+    /// staleness check — [`crate::ContentError::StaleStage`] when another
+    /// effective batch committed since the stage, index untouched — nothing
+    /// can fail, and the work is handle swaps: the staged symbol table,
+    /// clustering and refinement index swap in, each successor bound list
+    /// trades places with the live one, a planned pool re-layout moves the
+    /// list handles into the successor pool, and the build stamp moves
+    /// (phase 4 of [`Self::apply_with`]). A stage that changes nothing
+    /// commits as a true no-op (stamp parked, warm gather caches valid).
+    /// What the commit replaced is left in `staged`: no list, table or
+    /// arena is freed here, so a caller holding a lock drops `staged`
+    /// after releasing it.
+    pub fn commit(&mut self, staged: &mut StagedClusteredApply) -> crate::Result<ApplyReport> {
+        self.check_current(staged)?;
+        let report = staged.report;
+        if report.is_noop() {
+            return Ok(report);
+        }
+        std::mem::swap(&mut self.tags, &mut staged.tags);
+        std::mem::swap(&mut self.clustering, &mut staged.clustering);
+        if let Some(next) = &mut staged.refinement {
+            std::mem::swap(&mut self.refinement, next);
+        }
+        // Lists the batch creates have no live slot; the re-layout below
+        // (always planned when any exist) pools them.
+        for (key, successor) in &mut staged.lists {
+            if let Some(&slot) = self.list_ids.get(key) {
+                std::mem::swap(&mut self.list_pool[slot as usize], successor);
             }
         }
-        // Phase 4: the stamp moves only when something did.
-        let report = ApplyReport { changed_entries, changed_groups, cluster_joins: joins.len() };
-        if !report.is_noop() {
-            self.stamp = next_build_stamp();
+        if let Some(next) = &mut staged.relayout {
+            std::mem::swap(&mut self.list_pool, &mut next.list_pool);
+            let live = &mut next.list_pool;
+            for &source in &next.sources {
+                let source = source as usize;
+                let list = if source < live.len() {
+                    &mut live[source]
+                } else {
+                    &mut staged.lists[next.created[source - live.len()]].1
+                };
+                self.list_pool.push(std::mem::take(list));
+            }
+            debug_assert!(self.list_pool.iter().all(|list| !list.is_empty()));
+            std::mem::swap(&mut self.list_ids, &mut next.list_ids);
         }
+        self.stamp = next_build_stamp();
         Ok(report)
     }
 

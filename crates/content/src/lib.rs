@@ -54,12 +54,13 @@ pub use cluster::{
     strategy_named, BehaviorBasedClustering, ClusterId, ClusteringStrategy, HybridClustering,
     NetworkBasedClustering, UserClustering,
 };
+pub use deadline::Stopwatch;
 pub use error::ContentError;
 pub use events::TagEvent;
 pub use index::{
     ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex,
     ClusteredIndexBuilder, ClusteredQueryReport, ExactIndex, ExactIndexBuilder, IndexStats,
-    MemoryProfile, COMPRESS_AUTO_MIN_ENTRIES,
+    MemoryProfile, StagedClusteredApply, StagedExactApply, COMPRESS_AUTO_MIN_ENTRIES,
 };
 pub use integrator::{ContentIntegrator, RemoteSite, SimulatedRemoteSite, SyncReport};
 pub use models::{

@@ -425,6 +425,37 @@ impl PostingList {
         }
     }
 
+    /// The list with a run of per-item changes applied, built beside
+    /// `self` in `layout`: each `(item, score)` replaces the item's entry, a
+    /// score of 0 removing it. The list is decoded once, patched by binary
+    /// search and canonically re-encoded once — the same bytes a sequence
+    /// of [`Self::remove`] / [`Self::insert`] calls ends on, without their
+    /// decode and re-encode per call — and `self` is only read, so queries
+    /// keep scanning it until the caller swaps the successor in.
+    pub fn patched(
+        &self,
+        changes: impl IntoIterator<Item = (NodeId, f64)>,
+        layout: Layout,
+    ) -> PostingList {
+        let (mut entries, mut by_item) = match &self.repr {
+            Repr::Empty => (Vec::new(), Vec::new()),
+            Repr::Raw(raw) => (raw.entries.clone(), raw.by_item.clone()),
+            Repr::Packed(packed) => (packed.unpack_entries(), packed.unpack_by_item()),
+        };
+        for (item, score) in changes {
+            raw_remove(&mut entries, &mut by_item, item);
+            if score > 0.0 {
+                raw_insert(&mut entries, &mut by_item, Posting { item, score });
+            }
+        }
+        if entries.is_empty() {
+            return PostingList::new();
+        }
+        let mut list = PostingList { repr: Repr::Raw(Box::new(RawList { entries, by_item })) };
+        list.set_layout(layout);
+        list
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         match &self.repr {

@@ -70,6 +70,63 @@ impl Default for ArenaRepr {
     }
 }
 
+impl ArenaRepr {
+    /// Stored length: elements of a raw arena, bytes of a packed one — the
+    /// unit [`Span::start`] counts in.
+    fn physical_len(&self) -> usize {
+        match self {
+            ArenaRepr::Raw(taggers) => taggers.len(),
+            ArenaRepr::Packed { bytes, .. } => bytes.len(),
+        }
+    }
+
+    /// An empty arena in this one's layout, sized to receive a copy of it.
+    fn empty_like(&self) -> ArenaRepr {
+        match self {
+            ArenaRepr::Raw(taggers) => ArenaRepr::Raw(Vec::with_capacity(taggers.len())),
+            ArenaRepr::Packed { bytes, .. } => {
+                ArenaRepr::Packed { bytes: Vec::with_capacity(bytes.len()), len: 0 }
+            }
+        }
+    }
+
+    /// Where the next appended group will start.
+    fn next_start(&self) -> u32 {
+        // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
+        u32::try_from(self.physical_len()).expect("fewer than 2^32 arena elements")
+    }
+
+    /// Append one group's ascending tagger run (encoded when packed) and
+    /// return its tagger count.
+    fn push_group(&mut self, taggers: &[NodeId]) -> u32 {
+        match self {
+            ArenaRepr::Raw(arena) => arena.extend_from_slice(taggers),
+            ArenaRepr::Packed { bytes, len } => {
+                encode_group(bytes, taggers);
+                *len += taggers.len();
+            }
+        }
+        // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
+        u32::try_from(taggers.len()).expect("fewer than 2^32 taggers per group")
+    }
+
+    /// Append one group exactly as `from` (an arena of the same layout)
+    /// stores it in `span.start..end` — no decode, no re-encode.
+    fn copy_group(&mut self, from: &ArenaRepr, span: Span, end: usize) {
+        match (self, from) {
+            (ArenaRepr::Raw(arena), ArenaRepr::Raw(old)) => {
+                arena.extend_from_slice(&old[span.start as usize..end]);
+            }
+            (ArenaRepr::Packed { bytes, len }, ArenaRepr::Packed { bytes: old, .. }) => {
+                bytes.extend_from_slice(&old[span.start as usize..end]);
+                *len += span.len as usize;
+            }
+            // `empty_like` hands out the source's own layout.
+            _ => {}
+        }
+    }
+}
+
 /// Append one group's ascending tagger run. Canonical — a pure function of
 /// the run. Two forms, selected by the group's *length* (part of the span,
 /// so decoders know which to expect):
@@ -237,7 +294,7 @@ impl RefinementIndex {
     /// Convert the arena to `layout` in place (no-op when already there).
     /// Groups keep their relative arena order; spans are rewritten between
     /// element-index and byte-offset forms. Lossless and canonical per
-    /// group, so conversion commutes with [`Self::splice`] byte-for-byte.
+    /// group, so conversion commutes with [`Self::spliced`] byte-for-byte.
     pub(crate) fn set_layout(&mut self, layout: Layout) {
         if self.layout() == layout {
             return;
@@ -333,55 +390,59 @@ impl RefinementIndex {
         }
     }
 
-    /// Splice a batch of group changes into the index: each `(tag, item)`
-    /// key maps to the group's *new* tagger set (ascending; empty = the
-    /// group disappeared). The arena is rebuilt hole-free in one pass —
-    /// surviving groups keep their relative arena order (changed ones
-    /// replaced in place), emptied groups are dropped, and brand-new groups
-    /// are appended at the end in ascending `(tag, item)` order — so
+    /// The index with a batch of group changes spliced in, built from
+    /// `&self` — the live index is read, never written, so queries keep
+    /// resolving against it while the successor is assembled (the stage
+    /// half of [`crate::ClusteredIndex::stage`]); the commit is a pointer
+    /// swap. Each `(tag, item)` key maps to the group's *new* tagger set
+    /// (ascending; empty = the group disappeared). The successor's arena is
+    /// written hole-free in one pass, in the live arena's own layout:
+    /// surviving groups keep their relative arena order (unchanged ones are
+    /// copied as stored — raw ids or encoded bytes, no decode — changed
+    /// ones re-encoded in place), emptied groups are dropped, and brand-new
+    /// groups are appended at the end in ascending `(tag, item)` order — so
     /// [`Self::stats`] stays exact (`entries` is the arena length) and
     /// every group answers [`Self::taggers`] exactly as a from-scratch
-    /// rebuild of the post-change site would. A compressed arena is
-    /// re-encoded after the splice (the whole arena is the touched run —
-    /// the raw splice already rewrites it end to end), and because every
-    /// group encodes independently, the re-encoded arena occupies exactly
-    /// the bytes a from-scratch compressed rebuild would.
-    pub(crate) fn splice(&mut self, changes: &FxHashMap<(TagId, NodeId), Vec<NodeId>>) {
-        let restore = self.layout();
-        self.set_layout(Layout::Raw);
-        let ArenaRepr::Raw(old) = std::mem::take(&mut self.arena) else {
-            return;
-        };
+    /// rebuild of the post-change site would. Every group encodes
+    /// independently, so a compressed successor occupies exactly the bytes
+    /// a from-scratch compressed rebuild would.
+    pub(crate) fn spliced(
+        &self,
+        changes: &FxHashMap<(TagId, NodeId), Vec<NodeId>>,
+    ) -> RefinementIndex {
         // Existing groups in arena order, so survivors keep their layout.
-        let mut groups: Vec<(u32, TagId, NodeId)> = Vec::new();
+        // The arena is hole-free, so a group's stored run ends where the
+        // next one starts.
+        let mut groups: Vec<(Span, TagId, NodeId)> = Vec::with_capacity(self.group_count());
         for (slot, by_item) in self.by_tag.iter().enumerate() {
-            for (&item, span) in by_item {
-                groups.push((span.start, TagId(slot as u32), item));
+            for (&item, &span) in by_item {
+                groups.push((span, TagId(slot as u32), item));
             }
         }
-        groups.sort_unstable_by_key(|&(start, ..)| start);
-        let mut arena: Vec<NodeId> = Vec::with_capacity(old.len());
-        for (_, tag, item) in groups {
-            let slice: &[NodeId] = match changes.get(&(tag, item)) {
-                Some(taggers) => taggers.as_slice(),
+        groups.sort_unstable_by_key(|&(span, ..)| span.start);
+        let mut by_tag = self.by_tag.clone();
+        let mut arena = self.arena.empty_like();
+        for (position, &(span, tag, item)) in groups.iter().enumerate() {
+            let start = arena.next_start();
+            let len = match changes.get(&(tag, item)) {
+                Some(taggers) if taggers.is_empty() => {
+                    by_tag[tag.0 as usize].remove(&item);
+                    continue;
+                }
+                Some(taggers) => arena.push_group(taggers),
                 None => {
-                    let span = self.by_tag[tag.0 as usize][&item];
-                    &old[span.start as usize..][..span.len as usize]
+                    let end = groups
+                        .get(position + 1)
+                        .map_or(self.arena.physical_len(), |&(next, ..)| next.start as usize);
+                    arena.copy_group(&self.arena, span, end);
+                    span.len
                 }
             };
-            if slice.is_empty() {
-                self.by_tag[tag.0 as usize].remove(&item);
-                continue;
+            if (start, len) != (span.start, span.len) {
+                by_tag[tag.0 as usize].insert(item, Span { start, len });
             }
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let start = u32::try_from(arena.len()).expect("fewer than 2^32 tagger references");
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let len = u32::try_from(slice.len()).expect("fewer than 2^32 taggers per group");
-            arena.extend_from_slice(slice);
-            self.by_tag[tag.0 as usize].insert(item, Span { start, len });
         }
-        // Groups the changes introduce (not present even after the walk
-        // re-inserted every survivor) append at the end, deterministically.
+        // Groups the changes introduce append at the end, deterministically.
         let mut fresh: Vec<(TagId, NodeId, &[NodeId])> = changes
             .iter()
             .filter(|&(&(tag, item), taggers)| {
@@ -392,19 +453,15 @@ impl RefinementIndex {
             .collect();
         fresh.sort_unstable_by_key(|&(tag, item, _)| (tag, item));
         for (tag, item, taggers) in fresh {
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let start = u32::try_from(arena.len()).expect("fewer than 2^32 tagger references");
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let len = u32::try_from(taggers.len()).expect("fewer than 2^32 taggers per group");
-            arena.extend_from_slice(taggers);
+            let start = arena.next_start();
+            let len = arena.push_group(taggers);
             let slot = tag.0 as usize;
-            if self.by_tag.len() <= slot {
-                self.by_tag.resize_with(slot + 1, FxHashMap::default);
+            if by_tag.len() <= slot {
+                by_tag.resize_with(slot + 1, FxHashMap::default);
             }
-            self.by_tag[slot].insert(item, Span { start, len });
+            by_tag[slot].insert(item, Span { start, len });
         }
-        self.arena = ArenaRepr::Raw(arena);
-        self.set_layout(restore);
+        RefinementIndex { arena, by_tag }
     }
 
     /// `taggers(i, k)` for an interned tag, ascending. Empty for unknown
@@ -450,9 +507,18 @@ impl RefinementIndex {
             ArenaRepr::Raw(taggers) => taggers.len() * std::mem::size_of::<NodeId>(),
             ArenaRepr::Packed { bytes, .. } => bytes.len(),
         };
-        let maps: usize =
-            self.by_tag.iter().map(|m| m.len() * (std::mem::size_of::<(NodeId, Span)>() + 1)).sum();
-        arena + maps + self.by_tag.len() * std::mem::size_of::<FxHashMap<NodeId, Span>>()
+        // A tag whose last group was retracted keeps an empty slot here,
+        // which a rebuild would not have: only maps holding groups count.
+        let maps: usize = self
+            .by_tag
+            .iter()
+            .filter(|m| !m.is_empty())
+            .map(|m| {
+                m.len() * (std::mem::size_of::<(NodeId, Span)>() + 1)
+                    + std::mem::size_of::<FxHashMap<NodeId, Span>>()
+            })
+            .sum();
+        arena + maps
     }
 
     /// Space statistics under the paper's 10-bytes-per-entry model: one
@@ -683,7 +749,7 @@ mod tests {
         changes.insert((baseball, NodeId(100)), ids(&[1, 2, 5, 9]));
         changes.insert((museum, NodeId(100)), Vec::new());
         changes.insert((museum, NodeId(102)), ids(&[4, 7]));
-        maintained.splice(&changes);
+        let maintained = maintained.spliced(&changes);
         assert_eq!(maintained.layout(), Layout::Compressed);
 
         let mut tags = TagInterner::new();
@@ -768,11 +834,10 @@ mod tests {
         grown.push(NodeId(10_000));
         let mut changes: FxHashMap<(TagId, NodeId), Vec<NodeId>> = FxHashMap::default();
         changes.insert((tag, NodeId(1_000)), grown.clone());
-        packed.splice(&changes);
-        let mut rebuilt = raw.clone();
+        let packed = packed.spliced(&changes);
         let mut rebuild_changes: FxHashMap<(TagId, NodeId), Vec<NodeId>> = FxHashMap::default();
         rebuild_changes.insert((tag, NodeId(1_000)), grown.clone());
-        rebuilt.splice(&rebuild_changes);
+        let mut rebuilt = raw.spliced(&rebuild_changes);
         rebuilt.set_layout(Layout::Compressed);
         assert_eq!(packed.stats(), rebuilt.stats(), "splice must stay canonical");
         assert_eq!(packed.taggers(tag, NodeId(1_000)).as_ref(), grown.as_slice());

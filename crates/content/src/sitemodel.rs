@@ -11,6 +11,7 @@
 //! the clustering strategies and the top-k processor.
 
 use crate::events::TagEvent;
+use crate::index::{check_stamp, next_build_stamp};
 use crate::tags::normalize;
 use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, HasAttrs, NodeId, SocialGraph};
@@ -40,6 +41,10 @@ pub struct SiteModel {
     tags_of: FxHashMap<NodeId, BTreeSet<String>>,
     /// Items carrying each tag (user-independent), for candidate generation.
     items_with_tag: BTreeMap<String, BTreeSet<NodeId>>,
+    /// Content identity (see [`Self::build_stamp`]). Process-local, so never
+    /// persisted.
+    #[serde(skip)]
+    stamp: u64,
 }
 
 /// Freeze a dedup set map into sorted-vector form.
@@ -100,7 +105,23 @@ impl SiteModel {
         model.network_of = freeze(network_of);
         model.taggers_of =
             taggers_of.into_iter().map(|(item, by_tag)| (item, freeze(by_tag))).collect();
+        model.stamp = next_build_stamp();
         model
+    }
+
+    /// The model's content identity: a fresh process-unique stamp per
+    /// [`Self::from_graph`] and per *effective* [`Self::try_apply`] (0 for a
+    /// default-constructed model). Two models carrying the same stamp are
+    /// clones holding the same content, which is what lets an engine's
+    /// `commit` refuse a staged successor of a site that has since moved on.
+    pub fn build_stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// [`crate::ContentError::StaleStage`] unless this model still carries
+    /// `staged_base`, the stamp a staged successor was cloned at.
+    pub fn check_current(&self, staged_base: u64) -> crate::Result<()> {
+        check_stamp(staged_base, self.stamp)
     }
 
     /// All users, in id order.
@@ -252,14 +273,13 @@ impl SiteModel {
                         }
                     }
                     // `tags(u)` drops the tag only once the tagger uses it
-                    // on no item at all.
-                    let still_uses_tag = self.items_with_tag.get(&tag).is_some_and(|items| {
-                        items.iter().any(|i| {
-                            self.taggers_of
-                                .get(i)
-                                .and_then(|by_tag| by_tag.get(&tag))
-                                .is_some_and(|t| t.binary_search(&tagger).is_ok())
-                        })
+                    // on no item at all — and `items(u)`, just brought up
+                    // to date, lists every item the tagger still tags.
+                    let still_uses_tag = self.items_of(tagger).iter().any(|i| {
+                        self.taggers_of
+                            .get(i)
+                            .and_then(|by_tag| by_tag.get(&tag))
+                            .is_some_and(|t| t.binary_search(&tagger).is_ok())
                     });
                     if !still_uses_tag {
                         if let Some(tags) = self.tags_of.get_mut(&tagger) {
@@ -272,6 +292,9 @@ impl SiteModel {
                     effective += 1;
                 }
             }
+        }
+        if effective > 0 {
+            self.stamp = next_build_stamp();
         }
         Ok(effective)
     }

@@ -286,10 +286,11 @@ impl ApplyResponse {
 
 /// The `GET /stats` document: monotonic serving counters plus the
 /// engine's measured memory footprint. The memory block (`layout` through
-/// `tables_bytes`) is an *additive* extension of the original
-/// counters-only document — same [`WIRE_VERSION`], so old clients keep
-/// parsing the fields they know and new clients get the
-/// [`crate::MemoryProfile`] breakdown behind E14's bytes/user reporting.
+/// `tables_bytes`) and the apply clocks (`apply_*_us_*`) are *additive*
+/// extensions of the original counters-only document — same
+/// [`WIRE_VERSION`], so old clients keep parsing the fields they know and
+/// new clients get the [`crate::MemoryProfile`] breakdown behind E14's
+/// bytes/user reporting and the writer's stage/commit time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatsResponse {
     /// Schema version; always [`WIRE_VERSION`].
@@ -302,6 +303,15 @@ pub struct StatsResponse {
     pub degraded: u64,
     /// Micro-batches executed since start.
     pub batches: u64,
+    /// Microseconds applies have spent staging — the half that runs beside
+    /// readers, under the engine read lock.
+    pub apply_stage_us_total: u64,
+    /// Microseconds applies have spent committing, measured from asking for
+    /// the engine write lock to releasing it: the windows in which a reader
+    /// can be held back.
+    pub apply_commit_us_total: u64,
+    /// The longest single commit window, in microseconds.
+    pub apply_commit_us_max: u64,
     /// The serving index's posting layout: `"raw"` or `"compressed"`.
     pub layout: String,
     /// Total measured heap bytes across every index component.
@@ -321,13 +331,17 @@ impl StatsResponse {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"version\":{},\"queries\":{},\"applies\":{},\"degraded\":{},\"batches\":{},\
-             \"layout\":{},\"heap_bytes\":{},\"postings_bytes\":{},\"pool_bytes\":{},\
+             \"apply_stage_us_total\":{},\"apply_commit_us_total\":{},\
+             \"apply_commit_us_max\":{},\"layout\":{},\"heap_bytes\":{},\"postings_bytes\":{},\"pool_bytes\":{},\
              \"refinement_bytes\":{},\"tables_bytes\":{}}}",
             self.version,
             self.queries,
             self.applies,
             self.degraded,
             self.batches,
+            self.apply_stage_us_total,
+            self.apply_commit_us_total,
+            self.apply_commit_us_max,
             json_string(&self.layout),
             self.heap_bytes,
             self.postings_bytes,
@@ -347,6 +361,9 @@ impl StatsResponse {
             applies: doc.field_u64("applies")?,
             degraded: doc.field_u64("degraded")?,
             batches: doc.field_u64("batches")?,
+            apply_stage_us_total: doc.field_u64("apply_stage_us_total")?,
+            apply_commit_us_total: doc.field_u64("apply_commit_us_total")?,
+            apply_commit_us_max: doc.field_u64("apply_commit_us_max")?,
             layout: doc.field("layout")?.as_str()?.to_string(),
             heap_bytes: doc.field_u64("heap_bytes")?,
             postings_bytes: doc.field_u64("postings_bytes")?,

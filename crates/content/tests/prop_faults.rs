@@ -17,6 +17,10 @@
 //!    onward: every batch member is then either byte-identical to the
 //!    unbounded answer (flags clear) or the defined degraded result —
 //!    empty, `deadline_expired` set — at every thread count.
+//!
+//! Every test takes its `FailScenario` on its first line: scenarios
+//! serialize on a global lock, and an apply run before taking it would see
+//! whatever sites a sibling test has armed.
 
 #![cfg(feature = "failpoints")]
 
@@ -90,6 +94,7 @@ fn check_rollback<C: std::fmt::Debug>(
 
 #[test]
 fn a_fault_at_every_registered_site_rolls_back_cleanly() {
+    let scenario = FailScenario::setup();
     let (site0, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let exact0 = ExactIndex::build(&site0);
@@ -106,7 +111,6 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
     updated_site.apply(&events);
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
-    let scenario = FailScenario::setup();
     for &fp in faults::APPLY_SITES {
         scenario.arm(fp, FailAction::Fault { after: 0 });
 
@@ -145,6 +149,80 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
     }
 }
 
+/// The two-phase form of the same contract: every fallible step — every
+/// registered failpoint — lives in `stage`, which only borrows the index.
+/// A fault therefore surfaces from `stage` as an `Err` carrying no staged
+/// value, so there is nothing `commit` could be called with; the live
+/// index is byte-identical (build stamp included), and a gather cache
+/// warmed before the faulted stage is still a valid cache hit. A stage
+/// armed at another component's site succeeds and commits.
+#[test]
+fn every_apply_fault_surfaces_from_stage_and_leaves_the_live_index_untouched() {
+    let scenario = FailScenario::setup();
+    let (site0, users, items) = two_cliques();
+    let exec = Exec::new(2).unwrap();
+    let events = vec![
+        TagEvent::assign(users[4], items[0], "baseball"),
+        TagEvent::assign(users[0], items[3], "newtag"),
+        TagEvent::retract(users[1], items[0], "baseball"),
+    ];
+    let mut updated_site = site0.clone();
+    updated_site.apply(&events);
+    let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
+
+    for layout in [Layout::Raw, Layout::Compressed] {
+        let mut exact = ExactIndex::builder(&site0).layout(layout).build();
+        let mut clustered = ClusteredIndex::builder(&site0)
+            .clustering(NetworkBasedClustering.cluster(&site0, 0.3))
+            .layout(layout)
+            .build();
+        let mut scratch = BatchScratch::default();
+        let warm = clustered.query_batch_opts(
+            &site0,
+            &users,
+            &keywords,
+            2,
+            BatchOptions::new().scratch(&mut scratch),
+        );
+        let (exact_before, clustered_before) = (format!("{exact:?}"), format!("{clustered:?}"));
+        for &fp in faults::APPLY_SITES {
+            scenario.arm(fp, FailAction::Fault { after: 0 });
+            let injected = ContentError::FaultInjected { site: fp.to_string() };
+            let staged_exact = exact.stage(&exec, &updated_site, &events);
+            let staged_clustered = clustered.stage(&exec, &updated_site, &events);
+            assert_eq!(staged_exact.is_err(), is_exact_site(fp), "exact stage under `{fp}`");
+            assert_eq!(staged_clustered.is_err(), is_clustered_site(fp), "stage under `{fp}`");
+            for error in staged_exact.err().into_iter().chain(staged_clustered.err()) {
+                assert_eq!(error, injected);
+            }
+            assert_eq!(format!("{exact:?}"), exact_before, "stage under `{fp}` wrote the index");
+            assert_eq!(format!("{clustered:?}"), clustered_before, "stage under `{fp}` wrote");
+            let served = clustered.query_batch_opts(
+                &site0,
+                &users,
+                &keywords,
+                2,
+                BatchOptions::new().scratch(&mut scratch),
+            );
+            assert_eq!(served, warm, "warm scratch diverged after a faulted stage at `{fp}`");
+            scenario.disarm(fp);
+        }
+        // Disarmed, the stages succeed and their commits converge on the
+        // rebuild.
+        let mut staged_exact = exact.stage(&exec, &updated_site, &events).unwrap();
+        let mut staged_clustered = clustered.stage(&exec, &updated_site, &events).unwrap();
+        exact.commit(&mut staged_exact).unwrap();
+        clustered.commit(&mut staged_clustered).unwrap();
+        let rebuilt_exact = ExactIndex::builder(&updated_site).layout(layout).build();
+        let rebuilt_clustered = ClusteredIndex::builder(&updated_site)
+            .clustering(clustered.clustering.clone())
+            .layout(layout)
+            .build();
+        assert_eq!(exact.stats(), rebuilt_exact.stats());
+        assert_eq!(clustered.stats_with_refinement(), rebuilt_clustered.stats_with_refinement());
+    }
+}
+
 /// Rollback on compressed layouts: a fault at any registered apply site
 /// leaves the *packed* arenas byte-identical to their pre-apply state (the
 /// `Debug` rendering covers the encoded bytes), the layout stays
@@ -152,6 +230,7 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
 /// converges to a compressed rebuild — stats, heap bytes and answers.
 #[test]
 fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
+    let scenario = FailScenario::setup();
     let (site0, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let exact0 = ExactIndex::builder(&site0).layout(Layout::Compressed).build();
@@ -169,7 +248,6 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
     updated_site.apply(&events);
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
-    let scenario = FailScenario::setup();
     for &fp in faults::APPLY_SITES {
         scenario.arm(fp, FailAction::Fault { after: 0 });
         let mut exact = exact0.clone();
@@ -216,6 +294,7 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
 /// nothing for the warm cache to be stale against.
 #[test]
 fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
+    let scenario = FailScenario::setup();
     let (mut site, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let mut clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
@@ -230,7 +309,6 @@ fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
     );
     let stamp = clustered.build_stamp();
 
-    let scenario = FailScenario::setup();
     let effective = [TagEvent::assign(users[4], items[0], "baseball")];
     let redundant = [TagEvent::assign(users[1], items[0], "baseball")];
     for &fp in faults::APPLY_SITES {
@@ -352,6 +430,7 @@ proptest! {
         threads in 1usize..5,
         site_pick in 0usize..6,
     ) {
+        let scenario = FailScenario::setup();
         let (site0, users, items) = two_cliques();
         let exec = Exec::new(threads).unwrap();
         let exact0 = ExactIndex::build(&site0);
@@ -373,7 +452,6 @@ proptest! {
         updated_site.apply(&events);
         let fp = faults::APPLY_SITES[site_pick % faults::APPLY_SITES.len()];
 
-        let scenario = FailScenario::setup();
         scenario.arm(fp, FailAction::Fault { after: 0 });
         let mut exact = exact0.clone();
         let mut clustered = clustered0.clone();

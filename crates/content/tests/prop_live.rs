@@ -5,12 +5,16 @@
 //! same answer (ranking, scores and cost counters) to every query — for
 //! arbitrary event interleavings, chunkings and thread counts, with
 //! recluster-on-join folding late taggers into the clustering as the
-//! stream arrives.
+//! stream arrives. The two-phase form — `stage` from `&self`, then
+//! `commit` — must be that same apply: equal to the one-call form and to
+//! the rebuild, invisible to readers until the commit, and refused once
+//! its base has moved on.
 
 use proptest::prelude::*;
 use socialscope_content::{
     BatchOptions, BatchScratch, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy,
-    ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel, TagEvent,
+    ContentError, ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel,
+    TagEvent,
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{GraphBuilder, NodeId, SocialGraph};
@@ -311,6 +315,109 @@ proptest! {
         );
     }
 
+    /// **Two-phase ≡ one-call ≡ rebuild.** On both layouts, at threads 1
+    /// and 4, every chunk is applied twice: `commit(stage())` on one pair of
+    /// indexes, the one-call `try_apply_with` on a twin pair. The reports
+    /// agree (and equal what the stage announced), the exact index keeps
+    /// answering from the old state between stage and commit, a stage that
+    /// changes nothing leaves the build stamps parked, and at the end both
+    /// pairs match an index rebuilt from scratch — stats with heap bytes,
+    /// list for list, refinement group for refinement group, query for
+    /// query.
+    #[test]
+    fn staged_commits_match_one_call_applies_and_rebuild(
+        (users, items, fr, tg) in arb_inputs(),
+        (raw_events, chunk_len) in arb_stream(),
+        theta in 0.1f64..0.9,
+    ) {
+        let (base_g, g, user_ids, item_ids) = build_graphs(users, 2, items, &fr, &tg, &[0, 1]);
+        let clustering = NetworkBasedClustering.cluster(&SiteModel::from_graph(&base_g), theta);
+        let events = build_events(&raw_events, &user_ids, &item_ids);
+        let keywords: Vec<String> = TAGS[..3].iter().map(|t| t.to_string()).collect();
+        for layout in [Layout::Raw, Layout::Compressed] {
+            for threads in [1usize, 4] {
+                let exec = Exec::new(threads).unwrap();
+                let mut site = SiteModel::from_graph(&g);
+                let mut exact = ExactIndex::builder(&site).exec(&exec).layout(layout).build();
+                let mut clustered = ClusteredIndex::builder(&site)
+                    .exec(&exec)
+                    .clustering(clustering.clone())
+                    .layout(layout)
+                    .build();
+                let (mut exact_one_call, mut clustered_one_call) = (exact.clone(), clustered.clone());
+                for chunk in events.chunks(chunk_len) {
+                    site.apply(chunk);
+                    let before: Vec<_> =
+                        user_ids.iter().map(|&u| exact.query(u, &keywords, 3)).collect();
+                    let stamps = (exact.build_stamp(), clustered.build_stamp());
+
+                    let mut staged_exact = exact.stage(&exec, &site, chunk).unwrap();
+                    let mut staged_clustered = clustered.stage(&exec, &site, chunk).unwrap();
+                    for (&u, want) in user_ids.iter().zip(&before) {
+                        prop_assert_eq!(&exact.query(u, &keywords, 3), want, "stage was visible");
+                    }
+                    let announced = (staged_exact.report(), staged_clustered.report());
+                    let report_exact = exact.commit(&mut staged_exact).unwrap();
+                    let report_clustered = clustered.commit(&mut staged_clustered).unwrap();
+                    prop_assert_eq!((report_exact, report_clustered), announced);
+                    prop_assert_eq!(
+                        report_exact,
+                        exact_one_call.try_apply_with(&exec, &site, chunk).unwrap()
+                    );
+                    prop_assert_eq!(
+                        report_clustered,
+                        clustered_one_call.try_apply_with(&exec, &site, chunk).unwrap()
+                    );
+                    prop_assert_eq!(report_exact.is_noop(), exact.build_stamp() == stamps.0);
+                    prop_assert_eq!(report_clustered.is_noop(), clustered.build_stamp() == stamps.1);
+                }
+                let exact_rebuilt = ExactIndex::builder(&site).layout(layout).build();
+                let clustered_rebuilt = ClusteredIndex::builder(&site)
+                    .clustering(clustered.clustering.clone())
+                    .layout(layout)
+                    .build();
+                for exact in [&exact, &exact_one_call] {
+                    prop_assert_eq!(exact.layout(), layout);
+                    prop_assert_eq!(exact.stats(), exact_rebuilt.stats(), "{:?}/{}", layout, threads);
+                    for tag in TAGS {
+                        for &u in &user_ids {
+                            prop_assert_eq!(exact.list(tag, u), exact_rebuilt.list(tag, u));
+                        }
+                    }
+                    prop_assert_eq!(
+                        exact.query_batch_opts(&user_ids, &keywords, 3, BatchOptions::new()),
+                        exact_rebuilt.query_batch_opts(&user_ids, &keywords, 3, BatchOptions::new())
+                    );
+                }
+                for clustered in [&clustered, &clustered_one_call] {
+                    prop_assert_eq!(clustered.layout(), layout);
+                    prop_assert_eq!(
+                        clustered.stats_with_refinement(),
+                        clustered_rebuilt.stats_with_refinement(),
+                        "{:?}/{}", layout, threads
+                    );
+                    for tag in TAGS {
+                        for (cluster, _) in clustered.clustering.iter() {
+                            prop_assert_eq!(
+                                clustered.list(tag, cluster),
+                                clustered_rebuilt.list(tag, cluster)
+                            );
+                        }
+                    }
+                    for (item, tag, taggers) in site.tag_assignments() {
+                        let id = clustered.tags().get(tag).expect("live tag is interned");
+                        prop_assert_eq!(clustered.refinement().taggers(id, item), taggers);
+                    }
+                    prop_assert_eq!(
+                        clustered.query_batch_opts(&site, &user_ids, &keywords, 3, BatchOptions::new()),
+                        clustered_rebuilt
+                            .query_batch_opts(&site, &user_ids, &keywords, 3, BatchOptions::new())
+                    );
+                }
+            }
+        }
+    }
+
     /// **Redundant batches are true no-ops.** Re-assigning triples the site
     /// already holds (taggers all clustered) and retracting triples it
     /// never held reports a no-op and leaves the build stamp — and with it
@@ -483,6 +590,68 @@ fn late_joiner_is_clustered_by_their_first_event() {
             index.query(&site, u, &keywords, 3),
             rebuilt.query(&site, u, &keywords, 3),
             "maintained and rebuilt diverge for {u}"
+        );
+    }
+}
+
+/// A stage is only good against the state it read: once another *effective*
+/// batch has committed, `commit` refuses it with the typed error and
+/// changes nothing — while a redundant batch in between (stamps parked)
+/// leaves it committable, and re-staging against the moved state succeeds.
+#[test]
+fn a_stale_stage_is_refused_and_changes_nothing() {
+    let (mut site, users, items) = two_cliques();
+    let exec = Exec::new(2).unwrap();
+    let mut exact = ExactIndex::build(&site);
+    let mut clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
+    let first = vec![TagEvent::assign(users[4], items[0], "baseball")];
+    let second = vec![TagEvent::retract(users[1], items[2], "baseball")];
+    let redundant = vec![TagEvent::assign(users[1], items[0], "baseball")];
+
+    let mut site_after_first = site.clone();
+    site_after_first.apply(&first);
+    let mut stale_exact = exact.stage(&exec, &site_after_first, &first).unwrap();
+    let mut stale_clustered = clustered.stage(&exec, &site_after_first, &first).unwrap();
+
+    // A redundant batch commits in between: nothing moved, nothing stale.
+    assert_eq!(site.apply(&redundant), 0);
+    assert!(exact.try_apply_with(&exec, &site, &redundant).unwrap().is_noop());
+    assert!(clustered.try_apply_with(&exec, &site, &redundant).unwrap().is_noop());
+    exact.check_current(&stale_exact).unwrap();
+    clustered.check_current(&stale_clustered).unwrap();
+
+    // An effective one does: both stages are now behind.
+    site.apply(&second);
+    let staged_at = (exact.build_stamp(), clustered.build_stamp());
+    assert!(!exact.try_apply_with(&exec, &site, &second).unwrap().is_noop());
+    assert!(!clustered.try_apply_with(&exec, &site, &second).unwrap().is_noop());
+    let (exact_before, clustered_before) = (format!("{exact:?}"), format!("{clustered:?}"));
+    assert_eq!(
+        exact.commit(&mut stale_exact).unwrap_err(),
+        ContentError::StaleStage { staged: staged_at.0, live: exact.build_stamp() }
+    );
+    assert_eq!(
+        clustered.commit(&mut stale_clustered).unwrap_err(),
+        ContentError::StaleStage { staged: staged_at.1, live: clustered.build_stamp() }
+    );
+    assert_eq!(format!("{exact:?}"), exact_before, "a refused commit wrote the exact index");
+    assert_eq!(format!("{clustered:?}"), clustered_before, "a refused commit wrote the index");
+
+    // Staged again against the moved state, the same batch lands and the
+    // indexes converge on the rebuild.
+    site.apply(&first);
+    exact.try_apply_with(&exec, &site, &first).unwrap();
+    clustered.try_apply_with(&exec, &site, &first).unwrap();
+    let keywords = vec!["baseball".to_string(), "museum".to_string()];
+    let rebuilt_exact = ExactIndex::build(&site);
+    let rebuilt_clustered = ClusteredIndex::build(&site, clustered.clustering.clone());
+    assert_eq!(exact.stats(), rebuilt_exact.stats());
+    assert_eq!(clustered.stats_with_refinement(), rebuilt_clustered.stats_with_refinement());
+    for &u in &users {
+        assert_eq!(exact.query(u, &keywords, 3), rebuilt_exact.query(u, &keywords, 3));
+        assert_eq!(
+            clustered.query(&site, u, &keywords, 3),
+            rebuilt_clustered.query(&site, u, &keywords, 3)
         );
     }
 }

@@ -42,7 +42,7 @@ pub use query::UserQuery;
 pub use recommend::{
     collaborative_filtering_plan, expert_recommendations, item_based_recommendations,
     recommend_for_user, BatchRecommender, ClusteredNetworkAwareSearch, NetworkAwareSearch,
-    Recommendation,
+    Recommendation, StagedClusteredSearchApply, StagedSearchApply,
 };
 pub use relevance::{combined_score, RelevanceWeights, SemanticScorer};
 pub use social::SocialRelevance;

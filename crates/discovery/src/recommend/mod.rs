@@ -23,7 +23,9 @@ pub mod network_aware;
 pub use algebra_cf::{collaborative_filtering, collaborative_filtering_plan, CfConfig};
 pub use expert::expert_recommendations;
 pub use item_cf::item_based_recommendations;
-pub use network_aware::{ClusteredNetworkAwareSearch, NetworkAwareSearch};
+pub use network_aware::{
+    ClusteredNetworkAwareSearch, NetworkAwareSearch, StagedClusteredSearchApply, StagedSearchApply,
+};
 
 #[cfg(test)]
 mod batch_recommender_tests {

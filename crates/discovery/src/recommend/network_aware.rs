@@ -17,8 +17,9 @@
 use super::Recommendation;
 use socialscope_content::{
     ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex,
-    ClusteredQueryReport, ClusteringStrategy, ExactIndex, MemoryProfile, NetworkBasedClustering,
-    Result as ContentResult, SiteModel, TagEvent, TopKResult,
+    ClusteredQueryReport, ClusteringStrategy, ContentError, ExactIndex, MemoryProfile,
+    NetworkBasedClustering, Result as ContentResult, SiteModel, StagedClusteredApply,
+    StagedExactApply, TagEvent, TopKResult,
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{NodeId, SocialGraph};
@@ -95,18 +96,39 @@ impl NetworkAwareSearch {
         self.try_apply_with(&Exec::auto(), events)
     }
 
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. The site update is
-    /// staged on a clone and committed only after the index apply (itself
-    /// transactional) succeeds.
+    /// [`Self::try_apply`] on a caller-chosen [`Exec`]:
+    /// [`Self::commit`] of [`Self::stage`].
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         events: &[TagEvent],
     ) -> ContentResult<ApplyReport> {
-        let mut staged_site = self.site.clone();
-        staged_site.try_apply(events)?;
-        let report = self.index.try_apply_with(exec, &staged_site, events)?;
-        self.site = staged_site;
+        let mut staged = self.stage(exec, events)?;
+        self.commit(&mut staged)
+    }
+
+    /// The first half of an apply, from `&self` — queries keep being served
+    /// while it runs. The site model is cloned and the events applied to
+    /// the clone (the index stage must read the post-event site); the index
+    /// stages against it in place ([`ExactIndex::stage`]). Everything
+    /// fallible happens here.
+    pub fn stage(&self, exec: &Exec, events: &[TagEvent]) -> ContentResult<StagedSearchApply> {
+        let site = stage_site(&self.site, events)?;
+        let index = self.index.stage(exec, &site, events)?;
+        Ok(StagedSearchApply { site_base: self.site.build_stamp(), site, index })
+    }
+
+    /// The second half: land a [`Self::stage`]d batch — refused with
+    /// [`ContentError::StaleStage`], engine untouched, when another
+    /// effective batch committed since the stage; past that check nothing
+    /// can fail. The index patches in place ([`ExactIndex::commit`]) and
+    /// the staged site swaps in. What the commit replaced is left in
+    /// `staged`: nothing is freed here, so a caller holding a lock drops
+    /// `staged` after releasing it.
+    pub fn commit(&mut self, staged: &mut StagedSearchApply) -> ContentResult<ApplyReport> {
+        self.site.check_current(staged.site_base)?;
+        let report = self.index.commit(&mut staged.index)?;
+        std::mem::swap(&mut self.site, &mut staged.site);
         Ok(report)
     }
 
@@ -228,6 +250,55 @@ impl NetworkAwareSearch {
             .filter(|(_, score)| *score > 0.0)
             .map(|(item, score)| Recommendation { item, score, strategy: "network-aware" })
             .collect()
+    }
+}
+
+/// The post-event site an engine stage hands its index stages: a clone of
+/// the live model with the batch applied.
+fn stage_site(site: &SiteModel, events: &[TagEvent]) -> ContentResult<SiteModel> {
+    let mut staged = site.clone();
+    staged.try_apply(events)?;
+    Ok(staged)
+}
+
+/// A staged [`NetworkAwareSearch`] apply ([`NetworkAwareSearch::stage`]):
+/// the post-event site model plus the staged index patch. After a
+/// successful [`NetworkAwareSearch::commit`] the same value holds what the
+/// commit *replaced*; drop it away from any lock readers take.
+#[derive(Debug)]
+pub struct StagedSearchApply {
+    /// Build stamp of the site model the stage cloned.
+    site_base: u64,
+    site: SiteModel,
+    index: StagedExactApply,
+}
+
+impl StagedSearchApply {
+    /// What committing this stage changes.
+    pub fn report(&self) -> ApplyReport {
+        self.index.report()
+    }
+}
+
+/// A staged [`ClusteredNetworkAwareSearch`] apply
+/// ([`ClusteredNetworkAwareSearch::stage`]): the post-event site model plus
+/// the staged clustered-index and fallback patches. After a successful
+/// [`ClusteredNetworkAwareSearch::commit`] the same value holds what the
+/// commit *replaced* — the old site model, symbol tables, clustering and
+/// refinement arena; drop it away from any lock readers take.
+#[derive(Debug)]
+pub struct StagedClusteredSearchApply {
+    /// Build stamp of the site model the stage cloned.
+    site_base: u64,
+    site: SiteModel,
+    index: StagedClusteredApply,
+    fallback: Option<StagedExactApply>,
+}
+
+impl StagedClusteredSearchApply {
+    /// What committing this stage changes (the clustered index's report).
+    pub fn report(&self) -> ApplyReport {
+        self.index.report()
     }
 }
 
@@ -386,28 +457,69 @@ impl ClusteredNetworkAwareSearch {
         self.try_apply_with(&Exec::auto(), events)
     }
 
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. The site update and
-    /// the fallback's patch are staged on clones; the clustered index's
-    /// (itself transactional) apply runs last, and only after it succeeds
-    /// are the staged site and fallback committed.
+    /// [`Self::try_apply`] on a caller-chosen [`Exec`]:
+    /// [`Self::commit`] of [`Self::stage`].
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         events: &[TagEvent],
     ) -> ContentResult<ApplyReport> {
-        let mut staged_site = self.site.clone();
-        staged_site.try_apply(events)?;
-        let staged_fallback = match &self.fallback {
-            Some(exact) => {
-                let mut staged = exact.clone();
-                staged.try_apply_with(exec, &staged_site, events)?;
-                Some(staged)
-            }
+        let mut staged = self.stage(exec, events)?;
+        self.commit(&mut staged)
+    }
+
+    /// The first half of an apply, from `&self` — queries keep being served
+    /// while it runs. Only the site model is copied: it is cloned and the
+    /// events applied to the clone (the index stages must read the
+    /// post-event site); the fallback and the clustered index stage against
+    /// it in place ([`ExactIndex::stage`], [`ClusteredIndex::stage`]).
+    /// Everything fallible — every failpoint included — happens here.
+    pub fn stage(
+        &self,
+        exec: &Exec,
+        events: &[TagEvent],
+    ) -> ContentResult<StagedClusteredSearchApply> {
+        let site = stage_site(&self.site, events)?;
+        let fallback = match &self.fallback {
+            Some(exact) => Some(exact.stage(exec, &site, events)?),
             None => None,
         };
-        let report = self.index.try_apply_with(exec, &staged_site, events)?;
-        self.site = staged_site;
-        self.fallback = staged_fallback;
+        let index = self.index.stage(exec, &site, events)?;
+        Ok(StagedClusteredSearchApply { site_base: self.site.build_stamp(), site, index, fallback })
+    }
+
+    /// The second half: land a [`Self::stage`]d batch. Every part's build
+    /// stamp is checked before any part changes — a stage whose site,
+    /// clustered index or fallback has moved on since (another effective
+    /// batch committed in between, or a different fallback was configured)
+    /// is refused with [`ContentError::StaleStage`], engine untouched; past
+    /// the checks nothing can fail. The indexes patch in place and the
+    /// staged site swaps in, so a reader on the other side of a lock sees
+    /// the old engine or the new one, never a mix. What the commit replaced
+    /// is left in `staged`: nothing is freed here, so a caller holding a
+    /// lock drops `staged` after releasing it. The returned report is the
+    /// clustered index's.
+    pub fn commit(
+        &mut self,
+        staged: &mut StagedClusteredSearchApply,
+    ) -> ContentResult<ApplyReport> {
+        self.site.check_current(staged.site_base)?;
+        self.index.check_current(&staged.index)?;
+        match (&self.fallback, &staged.fallback) {
+            (Some(exact), Some(staged_exact)) => exact.check_current(staged_exact)?,
+            (None, None) => {}
+            (live, _) => {
+                return Err(ContentError::StaleStage {
+                    staged: staged.fallback.as_ref().map_or(0, StagedExactApply::base_stamp),
+                    live: live.as_ref().map_or(0, ExactIndex::build_stamp),
+                });
+            }
+        }
+        let report = self.index.commit(&mut staged.index)?;
+        if let (Some(exact), Some(staged_exact)) = (&mut self.fallback, &mut staged.fallback) {
+            exact.commit(staged_exact)?;
+        }
+        std::mem::swap(&mut self.site, &mut staged.site);
         Ok(report)
     }
 
@@ -946,6 +1058,86 @@ mod tests {
         // answers served from real bounds, no rebuild anywhere.
         assert!(clustered.index().clustering.cluster_of(late).is_some());
         assert!(!clustered.query(late, &keywords, 3).unclustered);
+    }
+
+    /// The two-phase apply on both engines: a stage is invisible — the
+    /// engine keeps answering from the pre-batch state while it exists —
+    /// and its commit lands exactly what the one-call form lands on a twin.
+    #[test]
+    fn a_staged_apply_is_invisible_until_its_commit() {
+        let (engine, users, late) = stale_clustered_engine();
+        let mut clustered = engine.with_exact_fallback();
+        let mut exact = NetworkAwareSearch {
+            site: clustered.site().clone(),
+            index: ExactIndex::build(clustered.site()),
+        };
+        let (mut clustered_twin, mut exact_twin) = (clustered.clone(), exact.clone());
+        let exec = Exec::new(2).unwrap();
+        let keywords = vec!["baseball".to_string(), "museum".to_string()];
+        let item = clustered.site().items().next().unwrap();
+        let events = vec![
+            TagEvent::assign(late, item, "museum"),
+            TagEvent::assign(users[3], item, "baseball"),
+        ];
+        let seekers: Vec<NodeId> = users.iter().copied().chain([late]).collect();
+        let before: Vec<_> = seekers.iter().map(|&u| clustered.query(u, &keywords, 3)).collect();
+        let exact_before: Vec<_> = seekers.iter().map(|&u| exact.query(u, &keywords, 3)).collect();
+
+        let mut staged = clustered.stage(&exec, &events).unwrap();
+        let mut exact_staged = exact.stage(&exec, &events).unwrap();
+        for ((&u, want), exact_want) in seekers.iter().zip(&before).zip(&exact_before) {
+            assert_eq!(&clustered.query(u, &keywords, 3), want, "stage visible to {u}");
+            assert_eq!(&exact.query(u, &keywords, 3), exact_want, "exact stage visible to {u}");
+        }
+        let report = clustered.commit(&mut staged).unwrap();
+        assert_eq!(report, staged.report());
+        assert_eq!(report, clustered_twin.try_apply_with(&exec, &events).unwrap());
+        let exact_report = exact.commit(&mut exact_staged).unwrap();
+        assert_eq!(exact_report, exact_twin.try_apply_with(&exec, &events).unwrap());
+        assert!(!report.is_noop() && !exact_report.is_noop());
+        for &u in &seekers {
+            assert_eq!(clustered.query(u, &keywords, 3), clustered_twin.query(u, &keywords, 3));
+            assert_eq!(exact.query(u, &keywords, 3), exact_twin.query(u, &keywords, 3));
+        }
+        assert_ne!(clustered.query(late, &keywords, 3), before[seekers.len() - 1]);
+    }
+
+    /// A stage is only good against the engine state it read. Once another
+    /// effective batch has committed, `commit` refuses it with the typed
+    /// error and leaves the engine byte-identical — including when that
+    /// batch moved only the *site* (a tagger nobody is connected to changes
+    /// no exact score), where swapping in the stale staged site would
+    /// silently drop the tagging.
+    #[test]
+    fn a_stale_stage_is_refused_and_the_engine_untouched() {
+        let (graph, users, items) = site();
+        let exec = Exec::new(2).unwrap();
+        let staged_batch = vec![TagEvent::assign(users[1], items[2], "museum")];
+        // users[3] has no connections: this moves the site and nothing else.
+        let site_only = vec![TagEvent::assign(users[3], items[1], "baseball")];
+
+        let mut exact = NetworkAwareSearch::build(&graph);
+        let mut stale = exact.stage(&exec, &staged_batch).unwrap();
+        assert!(exact.try_apply_with(&exec, &site_only).unwrap().is_noop());
+        let before = format!("{exact:?}");
+        let error = exact.commit(&mut stale).unwrap_err();
+        assert!(matches!(error, ContentError::StaleStage { .. }), "{error}");
+        assert_eq!(format!("{exact:?}"), before, "a refused commit wrote the exact engine");
+        assert_eq!(exact.site().taggers_of(items[1], "baseball"), &[users[3]]);
+
+        let mut clustered =
+            ClusteredNetworkAwareSearch::build_default(&graph).with_exact_fallback();
+        let mut stale = clustered.stage(&exec, &staged_batch).unwrap();
+        assert!(!clustered.try_apply_with(&exec, &site_only).unwrap().is_noop());
+        let before = format!("{clustered:?}");
+        let error = clustered.commit(&mut stale).unwrap_err();
+        assert!(matches!(error, ContentError::StaleStage { .. }), "{error}");
+        assert_eq!(format!("{clustered:?}"), before, "a refused commit wrote the engine");
+
+        // Staged again against the moved engine, the batch lands.
+        let mut fresh = clustered.stage(&exec, &staged_batch).unwrap();
+        assert!(!clustered.commit(&mut fresh).unwrap().is_noop());
+        assert_eq!(clustered.site().taggers_of(items[2], "museum"), &[users[1], users[3]]);
     }
 
     /// The deprecated engine wrappers are pure aliases of the `_opts`

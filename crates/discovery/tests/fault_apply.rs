@@ -3,13 +3,15 @@
 //! the site-model update, the index patch, or the fallback's lockstep
 //! patch — must leave the *whole engine* (site model, index, fallback)
 //! byte-identical to its pre-apply state, so no query can ever observe a
-//! site/index tear; and a batch deadline expiring inside the content layer
+//! site/index tear; in the two-phase form every such fault surfaces from
+//! `stage`, before anything a `commit` could be handed exists; and a batch
+//! deadline expiring inside the content layer
 //! must surface through the discoverer's batch entry points as the defined
 //! degraded answer (an empty recommendation list), not as garbage.
 
 #![cfg(feature = "failpoints")]
 
-use socialscope_content::{faults, BatchOptions, TagEvent};
+use socialscope_content::{faults, BatchOptions, BatchScratch, ContentError, TagEvent};
 use socialscope_discovery::discoverer::InformationDiscoverer;
 use socialscope_discovery::recommend::{ClusteredNetworkAwareSearch, NetworkAwareSearch};
 use socialscope_exec::failpoints::{FailAction, FailScenario};
@@ -97,6 +99,47 @@ fn a_fault_anywhere_in_an_engine_apply_leaves_no_tear() {
                 "retry past `{fp}` diverged (clustered)"
             );
         }
+    }
+}
+
+/// The two-phase engine apply keeps every failpoint in `stage`, which only
+/// borrows the engine: a fault at any registered site comes back from
+/// `stage` as the typed error with no staged value — `commit` cannot be
+/// reached — and the live engine is byte-identical, build stamps included,
+/// so a gather cache warmed before the faulted stage is still a valid hit.
+#[test]
+fn every_fault_surfaces_from_the_engine_stage_and_commit_is_never_reached() {
+    let scenario = FailScenario::setup();
+    let (graph, users, items) = site();
+    let exec = Exec::new(2).unwrap();
+    let engine = ClusteredNetworkAwareSearch::build_default(&graph).with_exact_fallback();
+    let events = vec![
+        TagEvent::assign(users[3], items[0], "museum"),
+        TagEvent::assign(users[0], items[2], "newtag"),
+        TagEvent::retract(users[1], items[1], "museum"),
+    ];
+    let keywords = vec!["baseball".to_string(), "museum".to_string()];
+    let mut scratch = BatchScratch::default();
+    let warm =
+        engine.query_batch_opts(&users, &keywords, 3, BatchOptions::new().scratch(&mut scratch));
+    let before = format!("{engine:?}");
+
+    for &fp in faults::APPLY_SITES {
+        scenario.arm(fp, FailAction::Fault { after: 0 });
+        assert_eq!(
+            engine.stage(&exec, &events).unwrap_err(),
+            ContentError::FaultInjected { site: fp.to_string() },
+            "fault at `{fp}` surfaced wrong"
+        );
+        assert_eq!(format!("{engine:?}"), before, "a faulted stage at `{fp}` wrote the engine");
+        let served = engine.query_batch_opts(
+            &users,
+            &keywords,
+            3,
+            BatchOptions::new().scratch(&mut scratch),
+        );
+        assert_eq!(served, warm, "warm scratch diverged after a faulted stage at `{fp}`");
+        scenario.disarm(fp);
     }
 }
 

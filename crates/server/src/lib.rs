@@ -33,9 +33,9 @@
 //! | Endpoint | Semantics |
 //! |---|---|
 //! | `POST /query` | Admit a [`wire::QueryRequest`]; blocks until its micro-batch is served. Deadline-expired members return HTTP 200 with `degraded: true` and whatever ranking was completed — degradation is in-band, not an error. |
-//! | `POST /apply` | Transactional tag-event ingestion; any rejection (unknown user/item, capacity, injected fault) rolls the engine back and returns a typed `409 apply_rejected`. |
+//! | `POST /apply` | Transactional tag-event ingestion in two phases: staged beside the readers, committed under the write lock. Any rejection (capacity, injected fault, stale stage) leaves the engine untouched and returns a typed `409 apply_rejected`. |
 //! | `GET /health` | Liveness plus the wire version. |
-//! | `GET /stats` | Monotonic serving counters (queries, applies, degraded, batches). |
+//! | `GET /stats` | Monotonic serving counters (queries, applies, degraded, batches), the apply stage/commit clocks, and the engine's memory profile. |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -17,12 +17,25 @@
 //!
 //! ## Apply transactionality
 //!
-//! `POST /apply` takes the engine write lock and runs the engines'
-//! transactional `try_apply_with`: on any error (unknown user/item,
-//! capacity, injected fault) the engine — site model, clustered index,
-//! exact fallback — is untouched and the client gets a typed `409` with
-//! the error detail. A success is visible to every query admitted after
-//! the lock releases.
+//! `POST /apply` runs the engine's two-phase apply. Applies are serialized
+//! by one mutex, taken first. The writer then **stages** under the engine
+//! *read* lock — cloning and updating the site model, staging both indexes,
+//! every fallible step — while queries keep flowing: std's `RwLock` holds
+//! readers back only for a *waiting* writer, and the one writer is the
+//! thread doing the staging. Only the **commit** takes the write lock, for
+//! the time it takes to swap pointers and patch the changed entries; the
+//! state it replaced is dropped after the guard is released, so nothing is
+//! freed while readers wait. A query therefore sees the engine before the
+//! batch or after it, never a mix. On any stage error (capacity, injected
+//! fault) the engine — site model, clustered index, exact fallback — was
+//! never written and the client gets a typed `409` with the error detail;
+//! a commit of a stage whose base moved on is refused the same way (it
+//! cannot happen while the apply mutex is the only path to a commit). A
+//! success is visible to every query admitted after the write guard
+//! releases. `GET /stats` reports the stage and commit time totals and the
+//! longest commit, so the writer's exclusive time is readable without a
+//! tracer. Lock order, enforced by the `lock_order` lint: apply mutex →
+//! engine read → (released) → engine write; engine guards never nest.
 
 use crate::batcher::{Batcher, Pending, ReadyBatch, ServeOutcome};
 use crate::http::{write_response, HttpLimits, Request, RequestReader};
@@ -30,8 +43,8 @@ use crate::wire::{
     ApplyRequest, ApplyResponse, ErrorResponse, QueryRequest, QueryResponse, ScoredItem,
     StatsResponse, WIRE_VERSION,
 };
-use parking_lot::RwLock;
-use socialscope_content::{BatchOptions, BatchScratchPool, Layout};
+use parking_lot::{Mutex, RwLock};
+use socialscope_content::{BatchOptions, BatchScratchPool, ContentError, Layout, Stopwatch};
 use socialscope_discovery::ClusteredNetworkAwareSearch;
 use socialscope_exec::Exec;
 use socialscope_graph::NodeId;
@@ -86,10 +99,20 @@ struct Counters {
     applies: AtomicU64,
     degraded: AtomicU64,
     batches: AtomicU64,
+    /// Microseconds applies spent staging beside readers.
+    apply_stage_us_total: AtomicU64,
+    /// Microseconds applies spent from asking for the engine write lock to
+    /// releasing it — the window in which a reader can be held back.
+    apply_commit_us_total: AtomicU64,
+    /// The longest single such window.
+    apply_commit_us_max: AtomicU64,
 }
 
 struct Shared {
     engine: RwLock<ClusteredNetworkAwareSearch>,
+    /// Serializes applies: taken before any engine lock, held from stage
+    /// through commit, so no stage is ever committed against a moved base.
+    apply_lock: Mutex<()>,
     batcher: Batcher,
     exec: Exec,
     config: ServerConfig,
@@ -154,6 +177,7 @@ pub fn spawn(
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         engine: RwLock::new(engine),
+        apply_lock: Mutex::new(()),
         batcher: Batcher::new(config.window, config.max_batch),
         exec,
         config,
@@ -393,6 +417,9 @@ fn serve_stats(shared: &Arc<Shared>) -> StatsResponse {
         applies: counters.applies.load(Ordering::Relaxed),
         degraded: counters.degraded.load(Ordering::Relaxed),
         batches: counters.batches.load(Ordering::Relaxed),
+        apply_stage_us_total: counters.apply_stage_us_total.load(Ordering::Relaxed),
+        apply_commit_us_total: counters.apply_commit_us_total.load(Ordering::Relaxed),
+        apply_commit_us_max: counters.apply_commit_us_max.load(Ordering::Relaxed),
         layout: match engine.index().layout() {
             Layout::Raw => "raw".to_owned(),
             Layout::Compressed => "compressed".to_owned(),
@@ -433,7 +460,9 @@ fn serve_query(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
     }
 }
 
-/// `POST /apply`: transactional tag-event ingestion under the write lock.
+/// `POST /apply`: transactional tag-event ingestion — stage beside the
+/// readers, commit under the write lock, free what was replaced after it
+/// (see "Apply transactionality" in the module docs).
 fn serve_apply(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
     let Ok(text) = std::str::from_utf8(body) else {
         return (400, ErrorResponse::new("bad_request", "body is not UTF-8").to_json());
@@ -444,9 +473,36 @@ fn serve_apply(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
             return (400, ErrorResponse::new("bad_request", error.to_string()).to_json());
         }
     };
-    shared.counters.applies.fetch_add(1, Ordering::Relaxed);
-    let mut engine = shared.engine.write();
-    match engine.try_apply_with(&shared.exec, &events) {
+    let counters = &shared.counters;
+    counters.applies.fetch_add(1, Ordering::Relaxed);
+    let _applying = shared.apply_lock.lock();
+    let clock = Stopwatch::start();
+    let staged = {
+        let engine = shared.engine.read();
+        engine.stage(&shared.exec, &events)
+    };
+    counters.apply_stage_us_total.fetch_add(clock.elapsed_us(), Ordering::Relaxed);
+    // A failed stage never wrote the engine: site model, clustered index
+    // and fallback are untouched. Surface the typed reason.
+    let rejected = |error: ContentError| {
+        (409, ErrorResponse::new("apply_rejected", error.to_string()).to_json())
+    };
+    let mut staged = match staged {
+        Ok(staged) => staged,
+        Err(error) => return rejected(error),
+    };
+    let clock = Stopwatch::start();
+    let committed = {
+        let mut engine = shared.engine.write();
+        engine.commit(&mut staged)
+    };
+    let commit_us = clock.elapsed_us();
+    counters.apply_commit_us_total.fetch_add(commit_us, Ordering::Relaxed);
+    counters.apply_commit_us_max.fetch_max(commit_us, Ordering::Relaxed);
+    // `staged` now holds what the commit replaced (old site model, symbol
+    // tables, clustering, refinement arena): freed here, after the guard.
+    drop(staged);
+    match committed {
         Ok(report) => (
             200,
             ApplyResponse {
@@ -457,8 +513,6 @@ fn serve_apply(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
             }
             .to_json(),
         ),
-        // The engine rolled back: site model, clustered index and
-        // fallback are untouched. Surface the typed reason.
-        Err(error) => (409, ErrorResponse::new("apply_rejected", error.to_string()).to_json()),
+        Err(error) => rejected(error),
     }
 }
