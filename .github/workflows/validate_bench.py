@@ -1,7 +1,7 @@
 """Validate the bench JSON documents and gate perf-counter regressions.
 
 Run from the repository root after the bench-smoke sweeps have produced
-their JSON files under ci-artifacts/. Six duties:
+their JSON files under ci-artifacts/. Nine duties:
 
 1. Schema-validate the E8 top-k documents: the smoke run emitted this job,
    and the committed baseline ``BENCH_topk.json`` (which must also carry
@@ -59,28 +59,16 @@ their JSON files under ci-artifacts/. Six duties:
    granular with a strided, lazily-armed clock precisely so the budget
    machinery stays effectively free; a headline past the ceiling means
    someone put per-member work back on the armed path.
-9. Schema-validate the E13 serving documents (smoke and committed
-   ``BENCH_serving.json``), require the wire-contract flags (round-trip
-   identical to the engine, applies visible, malformed applies typed,
-   degradation in-band — all asserted over real sockets before anything
-   is timed) to be recorded true, and gate the committed headline: the
-   winning micro-batching window must actually beat per-request serving
-   (``beats_per_request``), keep its open-loop tail bounded
-   (p99 <= SERVING_TAIL_MAX_RATIO x p50 — measured from *scheduled*
-   arrival, so queueing collapse shows up here first), and clear the
-   SERVING_THROUGHPUT_FLOOR_RPS sanity floor. Duty 9 runs alone when the
-   script is invoked as ``validate_bench.py serving`` (the serving-smoke
-   job produces only the E13 smoke artifact).
-10. Schema-validate the E14 scale documents (smoke and committed
-    ``BENCH_scale.json``) and gate the committed headline: at the largest
-    committed scale the Compressed layout must keep a
-    >= SCALE_SAVING_MIN bytes/user reduction over Raw while staying
-    within SCALE_REGRESSION_MAX_PCT on single-query latency and at or
-    above SCALE_BATCH_RATIO_MIN of Raw batch throughput. The committed
-    document must also record ``identity_checked`` true — the sweep
-    asserts Raw and Compressed return byte-identical rankings before
-    anything is timed, so a false flag means a single-layout run was
-    committed as the baseline.
+9. Schema-validate the E14 scale documents (smoke and committed
+   ``BENCH_scale.json``) and gate the committed headline: at the largest
+   committed scale the Compressed layout must keep a
+   >= SCALE_SAVING_MIN bytes/user reduction over Raw while staying
+   within SCALE_REGRESSION_MAX_PCT on single-query latency and at or
+   above SCALE_BATCH_RATIO_MIN of Raw batch throughput. The committed
+   document must also record ``identity_checked`` true — the sweep
+   asserts Raw and Compressed return byte-identical rankings before
+   anything is timed, so a false flag means a single-layout run was
+   committed as the baseline.
 """
 
 import json
@@ -92,14 +80,12 @@ BATCH_SMOKE = "ci-artifacts/bench_batch_smoke.json"
 PARALLEL_SMOKE = "ci-artifacts/bench_parallel_smoke.json"
 UPDATE_SMOKE = "ci-artifacts/bench_update_smoke.json"
 ROBUSTNESS_SMOKE = "ci-artifacts/bench_robustness_smoke.json"
-SERVING_SMOKE = "ci-artifacts/bench_serving_smoke.json"
 SCALE_SMOKE = "ci-artifacts/bench_scale_smoke.json"
 TOPK_COMMITTED = "BENCH_topk.json"
 BATCH_COMMITTED = "BENCH_batch.json"
 PARALLEL_COMMITTED = "BENCH_parallel.json"
 UPDATE_COMMITTED = "BENCH_update.json"
 ROBUSTNESS_COMMITTED = "BENCH_robustness.json"
-SERVING_COMMITTED = "BENCH_serving.json"
 SCALE_COMMITTED = "BENCH_scale.json"
 
 REQUIRED_TOPK_RUN = {"experiment", "seed", "scale", "probe_users",
@@ -170,29 +156,6 @@ ROBUSTNESS_CONTRACT = {"generous_budget_identical",
 # lazily-armed clock, which keeps the honest cost near 1%.
 ROBUSTNESS_OVERHEAD_MAX_PCT = 2.0
 
-REQUIRED_SERVING_RUN = {"experiment", "seed", "scale", "k", "requests",
-                        "conns", "slo_ms", "site_users", "contract",
-                        "windows_us", "capacity_rps", "offered_rps", "rows",
-                        "headline"}
-REQUIRED_SERVING_ROW = {"window_us", "offered_rps", "completed", "failed",
-                        "degraded", "throughput_rps", "p50_us", "p99_us",
-                        "p999_us"}
-REQUIRED_SERVING_HEADLINE = {"window_us", "throughput_rps", "p50_us",
-                             "p99_us", "baseline_throughput_rps",
-                             "baseline_p50_us", "baseline_p99_us",
-                             "beats_per_request"}
-SERVING_CONTRACT = {"roundtrip_identical", "apply_visible",
-                    "malformed_apply_typed", "degraded_in_band"}
-# Ceiling on the committed winning window's p99/p50 ratio (duty 9).
-# Latencies are open-loop (measured from scheduled arrival), so queueing
-# collapse inflates the tail first: the committed overload run sits near
-# 2.3x; past 4x the batching window stopped protecting the tail.
-SERVING_TAIL_MAX_RATIO = 4.0
-# Sanity floor on the committed winning window's throughput. The committed
-# run serves ~26k req/s on the measurement box; an artifact below the
-# floor was produced by a misconfigured (or broken) serving path.
-SERVING_THROUGHPUT_FLOOR_RPS = 5000.0
-
 REQUIRED_SCALE_RUN = {"experiment", "seed", "k", "repetitions",
                       "probe_users", "scales", "layouts",
                       "identity_checked", "rows", "headline"}
@@ -207,7 +170,7 @@ REQUIRED_SCALE_HEADLINE = {"scale", "raw_bytes_per_user",
                            "single_query_regression_pct",
                            "batch_throughput_ratio"}
 SCALE_LAYOUTS = {"raw", "compressed"}
-# Gates on the committed headline (duty 10). The delta-varint layouts were
+# Gates on the committed headline (duty 9). The delta-varint layouts were
 # committed at ~2.6x bytes/user over Raw with single-query well inside the
 # budget and batch throughput at parity; a baseline below these lines
 # means the compressed read path (skip directory, block decode) regressed.
@@ -357,41 +320,6 @@ def check_robustness_doc(doc, where):
         f"{where}: headline {head['overhead_pct']} != worst engine {worst}")
 
 
-def check_serving_doc(doc, where):
-    require_keys(REQUIRED_SERVING_RUN, doc, where)
-    assert doc["experiment"] == "E13_serving_sweep", where
-    contract = doc["contract"]
-    assert set(contract) == SERVING_CONTRACT, f"{where}: contract {contract}"
-    for name, held in contract.items():
-        assert held is True, (
-            f"{where}: wire-contract flag {name} is {held}; the sweep "
-            "asserts these over real sockets before anything is timed, so "
-            "a false flag means the document was hand-edited")
-    windows = doc["windows_us"]
-    assert windows and windows[0] == 0, (
-        f"{where}: windows {windows} must start at the per-request 0 baseline")
-    assert any(w > 0 for w in windows), (
-        f"{where}: windows {windows} contain no batching window")
-    assert doc["capacity_rps"] > 0 and doc["offered_rps"] > doc["capacity_rps"], (
-        f"{where}: the sweep must offer past the measured per-request "
-        f"capacity (capacity {doc['capacity_rps']}, offered {doc['offered_rps']})")
-    seen = []
-    for row in doc["rows"]:
-        require_keys(REQUIRED_SERVING_ROW, row, where, "window row")
-        assert row["completed"] + row["failed"] == doc["requests"], (
-            f"{where}: row {row['window_us']}us accounts for "
-            f"{row['completed']}+{row['failed']} of {doc['requests']} requests")
-        assert row["p50_us"] <= row["p99_us"] <= row["p999_us"], (
-            f"{where}: unsorted percentiles in row {row}")
-        seen.append(row["window_us"])
-    assert seen == windows, f"{where}: rows cover {seen}, windows are {windows}"
-    head = doc["headline"]
-    require_keys(REQUIRED_SERVING_HEADLINE, head, where, "headline")
-    assert head["window_us"] in windows and head["window_us"] > 0, (
-        f"{where}: headline window {head['window_us']} is not a swept "
-        "batching window")
-
-
 def check_scale_doc(doc, where):
     require_keys(REQUIRED_SCALE_RUN, doc, where)
     assert doc["experiment"] == "E14_scale_sweep", where
@@ -421,46 +349,7 @@ def counters_of(run):
             for row in run["engines"]}
 
 
-def check_serving():
-    """Duty 9: E13 schemas plus the committed serving-front gates."""
-    check_serving_doc(json.load(open(SERVING_SMOKE)), SERVING_SMOKE)
-    serving = json.load(open(SERVING_COMMITTED))
-    check_serving_doc(serving, SERVING_COMMITTED)
-    head = serving["headline"]
-    assert head["beats_per_request"] is True, (
-        f"{SERVING_COMMITTED}: the committed sweep found no batching window "
-        "that beats per-request serving (throughput up at a p99 no worse); "
-        "regenerate with `experiments serving --out BENCH_serving.json` on "
-        "a quiet machine or fix the micro-batching regression")
-    tail_ratio = head["p99_us"] / max(head["p50_us"], 1)
-    assert tail_ratio <= SERVING_TAIL_MAX_RATIO, (
-        f"{SERVING_COMMITTED}: committed winning-window p99/p50 ratio "
-        f"{tail_ratio:.2f} exceeds {SERVING_TAIL_MAX_RATIO}x; the batching "
-        "window stopped protecting the open-loop tail — regenerate on a "
-        "quiet machine or fix the tail regression")
-    assert head["throughput_rps"] >= SERVING_THROUGHPUT_FLOOR_RPS, (
-        f"{SERVING_COMMITTED}: committed winning-window throughput "
-        f"{head['throughput_rps']} req/s is below the "
-        f"{SERVING_THROUGHPUT_FLOOR_RPS} floor; the committed artifact was "
-        "produced by a broken or misconfigured serving path")
-    print(f"serving JSONs OK; committed window {head['window_us']}us beats "
-          f"per-request ({head['throughput_rps']} vs "
-          f"{head['baseline_throughput_rps']} req/s at p99 {head['p99_us']} "
-          f"vs {head['baseline_p99_us']}us); tail ratio {tail_ratio:.2f} <= "
-          f"{SERVING_TAIL_MAX_RATIO}; floor {SERVING_THROUGHPUT_FLOOR_RPS} "
-          "req/s cleared")
-
-
 def main():
-    # Duty 9 runs alone in the serving-smoke job: that job produces only
-    # the E13 smoke artifact, so the duties below would fail on missing
-    # files (and re-validating them there would add nothing).
-    if len(sys.argv) > 1:
-        assert sys.argv[1:] == ["serving"], (
-            f"unknown mode {sys.argv[1:]}; supported: `serving`")
-        check_serving()
-        return
-
     # 1. E8 schemas.
     smoke = json.load(open(TOPK_SMOKE))
     assert set(smoke) == {"before", "after", "speedup"}, TOPK_SMOKE

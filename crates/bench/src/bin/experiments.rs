@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `fig2`, `sizing`, `clustering`,
-//! `algebra`, `presentation`, `all`, plus two measured sweeps (see the
+//! `algebra`, `presentation`, `all`, plus six measured sweeps (see the
 //! README "Performance" section):
 //!
 //! * `topk` — the E8 top-k sweep: wall time and cost counters at a fixed
@@ -29,14 +29,6 @@
 //!   expiry checks, plus budgets at fractions of the measured unbounded
 //!   wall to chart the deadline hit-rate, with the partial-results contract
 //!   asserted before anything is timed; emits `BENCH_robustness.json`;
-//! * `serving` — the E13 serving-front sweep: an in-process
-//!   `socialscope_server` driven by the open-loop load generator at 1.5×
-//!   its measured per-request capacity, across micro-batching windows
-//!   (window 0 is the per-request baseline), reporting p50/p99/p99.9
-//!   scheduled-time latency and throughput per window, with the wire
-//!   contract (HTTP round-trip ≡ direct engine calls, transactional-apply
-//!   rollback, in-band degradation) asserted before anything is timed;
-//!   emits `BENCH_serving.json`;
 //! * `scale` — the E14 memory-scaling sweep: sites from the
 //!   [`SiteConfig::at_scale`] presets (Zipf-skewed tags, bursty per-class
 //!   query mixes) built at each requested user scale under the `Raw` and
@@ -56,8 +48,6 @@
 //!     --scale 200 --out BENCH_update.json
 //! cargo run -p socialscope_bench --release --bin experiments -- robustness \
 //!     --scale 200 --out BENCH_robustness.json
-//! cargo run -p socialscope_bench --release --bin experiments -- serving \
-//!     --scale 200 --out BENCH_serving.json
 //! cargo run -p socialscope_bench --release --bin experiments -- scale \
 //!     --scale 10000,100000 --layout both --out BENCH_scale.json
 //! ```
@@ -69,29 +59,24 @@
 //! fast with a non-zero exit.
 
 use socialscope_algebra::prelude::*;
-use socialscope_bench::loadgen::{post, run_load, LoadPlan, PlannedRequest};
 use socialscope_bench::{site_at_scale, site_with_matches, standard_keywords};
 use socialscope_content::models::all_models;
-use socialscope_content::wire::{ApplyRequest, QueryRequest, QueryResponse};
-use socialscope_content::TagEvent;
 use socialscope_content::{
     BatchOptions, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy, ExactIndex,
     HybridClustering, Layout, NetworkBasedClustering, SiteModel, UserJourney,
 };
 use socialscope_discovery::recommend::algebra_cf::{example5_pipeline, CfConfig};
-use socialscope_discovery::ClusteredNetworkAwareSearch;
 use socialscope_discovery::{ContentAnalyzer, InformationDiscoverer, UserQuery};
 use socialscope_presentation::{GroupingStrategy, InformationOrganizer};
-use socialscope_server::ServerConfig;
 use socialscope_workload::queries::expected_fraction;
 use socialscope_workload::{
     generate_events, generate_site, keywords_of, paper_sizing_example, ClassCounts,
     EventStreamConfig, QueryClass, QueryLogConfig, QueryLogGenerator, SiteConfig,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const USAGE: &str = "table1 | table2 | fig2 | sizing | clustering | algebra | presentation | \
-                     topk | batch | parallel | update | robustness | serving | scale | all";
+                     topk | batch | parallel | update | robustness | scale | all";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -138,7 +123,6 @@ fn main() {
         "parallel" => parallel_sweep(rest),
         "update" => update_sweep(rest),
         "robustness" => robustness_sweep(rest),
-        "serving" => serving_sweep(rest),
         "scale" => scale_sweep(rest),
         "all" => {
             no_flags("all");
@@ -1781,10 +1765,10 @@ fn robustness_sweep(args: &[String]) {
 /// E11 — live index maintenance: for each event-batch size in
 /// [`UPDATE_FRACTIONS`] (fractions of the site's assignment volume), a
 /// deterministic tag-event stream (Zipf-skewed assigns mixed with retracts
-/// of live assignments) is absorbed two ways — `*Index::apply` patching
-/// pre-cloned indexes in place, versus rebuilding the index from scratch.
-/// Both strategies start from the already-updated site model (the
-/// `SiteModel::apply` cost is common to both, so it stays outside the
+/// of live assignments) is absorbed two ways — `*Index::try_apply_with`
+/// patching pre-cloned indexes in place, versus rebuilding the index from
+/// scratch. Both strategies start from the already-updated site model (the
+/// `SiteModel::try_apply` cost is common to both, so it stays outside the
 /// timed region), and the wall-time ratio is the measured maintenance
 /// gain. Before anything is timed, the
 /// maintained index is asserted identical to the rebuilt one (stats plus a
@@ -1815,6 +1799,7 @@ fn update_sweep(args: &[String]) {
     }
 
     heading(&format!("E11 / live index maintenance at scale {scale} (k={k}, {reps} reps)"));
+    let exec = socialscope_exec::Exec::auto();
     let site = site_at_scale(scale);
     let model = SiteModel::from_graph(&site.graph);
     let assignments: usize = model.tag_assignments().map(|(_, _, taggers)| taggers.len()).sum();
@@ -1843,17 +1828,19 @@ fn update_sweep(args: &[String]) {
             },
         );
         let mut updated = model.clone();
-        let effective = updated.apply(&events);
+        let effective = updated.try_apply(&events).expect("site apply");
         assert!(effective > 0, "event stream must touch the site");
 
         // Delta ≡ rebuild, asserted on the measured workload before any
         // timing: stats plus a full-population query sweep per index.
         let mut maintained_exact = exact.clone();
-        let exact_report = maintained_exact.apply(&updated, &events);
+        let exact_report =
+            maintained_exact.try_apply_with(&exec, &updated, &events).expect("exact apply");
         let rebuilt_exact = ExactIndex::builder(&updated).build();
         assert_eq!(maintained_exact.stats(), rebuilt_exact.stats(), "exact delta diverged");
         let mut maintained_clustered = clustered.clone();
-        let clustered_report = maintained_clustered.apply(&updated, &events);
+        let clustered_report =
+            maintained_clustered.try_apply_with(&exec, &updated, &events).expect("clustered apply");
         let rebuilt_clustered = ClusteredIndex::builder(&updated)
             .clustering(NetworkBasedClustering.cluster(&updated, 0.3))
             .build();
@@ -1883,7 +1870,8 @@ fn update_sweep(args: &[String]) {
         let mut exact_pool: Vec<ExactIndex> = (0..3 * reps).map(|_| exact.clone()).collect();
         let wall_ms_apply = best_of_three(reps, || {
             let mut ix = exact_pool.pop().expect("clone pool sized to 3 × reps");
-            std::hint::black_box(ix.apply(&updated, &events).changed_entries);
+            let report = ix.try_apply_with(&exec, &updated, &events).expect("timed apply");
+            std::hint::black_box(report.changed_entries);
         });
         let wall_ms_rebuild = best_of_three(reps, || {
             std::hint::black_box(ExactIndex::builder(&updated).build().stats().entries);
@@ -1901,7 +1889,8 @@ fn update_sweep(args: &[String]) {
             (0..3 * reps).map(|_| clustered.clone()).collect();
         let wall_ms_apply = best_of_three(reps, || {
             let mut ix = clustered_pool.pop().expect("clone pool sized to 3 × reps");
-            std::hint::black_box(ix.apply(&updated, &events).changed_entries);
+            let report = ix.try_apply_with(&exec, &updated, &events).expect("timed apply");
+            std::hint::black_box(report.changed_entries);
         });
         let wall_ms_rebuild = best_of_three(reps, || {
             let clustering = NetworkBasedClustering.cluster(&updated, 0.3);
@@ -1948,331 +1937,6 @@ fn update_sweep(args: &[String]) {
         site.users.len(),
         UPDATE_FRACTIONS.map(|f| f.to_string()).join(","),
         rows.iter().map(UpdateRow::to_json).collect::<Vec<_>>().join(",")
-    );
-    write_json_out(out.as_deref(), &json);
-}
-
-/// The micro-batching windows E13 sweeps, in microseconds. Window 0 is
-/// the per-request baseline (same machinery, no coalescing).
-const SERVING_WINDOWS_US: [u64; 4] = [0, 500, 2000, 5000];
-
-/// One measured serving configuration of E13.
-struct ServingRow {
-    window_us: u64,
-    offered_rps: f64,
-    completed: usize,
-    failed: usize,
-    degraded: usize,
-    throughput_rps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    p999_us: u64,
-}
-
-impl ServingRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"window_us\":{},\"offered_rps\":{:.1},\"completed\":{},\"failed\":{},\"degraded\":{},\"throughput_rps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{}}}",
-            self.window_us,
-            self.offered_rps,
-            self.completed,
-            self.failed,
-            self.degraded,
-            self.throughput_rps,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us
-        )
-    }
-}
-
-/// The keyword sets E13's load rotates over: few enough that the batcher
-/// can actually coalesce requests by resolved keyword set, varied enough
-/// that one engine batch call does not serve the whole run.
-fn serving_keyword_sets() -> Vec<Vec<String>> {
-    let standard = standard_keywords();
-    vec![standard.clone(), vec![standard[0].clone()], standard[1..].to_vec()]
-}
-
-/// The wire contract, asserted over real sockets before anything is
-/// timed: HTTP round-trips answer identically to direct engine calls, a
-/// valid apply commits (and is visible to subsequent queries), a
-/// malformed apply is refused with a typed error and changes nothing,
-/// and an exhausted deadline budget comes back as an in-band degraded
-/// 200.
-fn serving_contract(
-    exec: &socialscope_exec::Exec,
-    engine: &ClusteredNetworkAwareSearch,
-    users: &[socialscope_graph::NodeId],
-    items: &[socialscope_graph::NodeId],
-    k: usize,
-) {
-    // A shadow copy of the engine answers "what should the server say".
-    let mut shadow = engine.clone();
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        window: Duration::from_micros(500),
-        slo: Duration::from_secs(10),
-        ..ServerConfig::default()
-    };
-    let handle = socialscope_server::spawn(config, engine.clone(), *exec)
-        .unwrap_or_else(|e| fail_io(&format!("cannot boot contract server: {e}")));
-    let addr = handle.addr();
-    let keyword_sets = serving_keyword_sets();
-
-    let query_server = |seeker: socialscope_graph::NodeId, keywords: &[String]| -> QueryResponse {
-        let body = QueryRequest::new(seeker, keywords.to_vec(), k).to_json();
-        let (status, body) =
-            post(addr, "/query", &body).unwrap_or_else(|e| fail_io(&format!("query failed: {e}")));
-        assert_eq!(status, 200, "contract query must answer 200, got {status}: {body}");
-        QueryResponse::from_json(&body)
-            .unwrap_or_else(|e| fail_io(&format!("unparseable response: {e}")))
-    };
-    let assert_matches_shadow = |shadow: &ClusteredNetworkAwareSearch, label: &str| {
-        for keywords in &keyword_sets {
-            for &seeker in users.iter().take(6).chain([socialscope_graph::NodeId(u64::MAX)].iter())
-            {
-                let response = query_server(seeker, keywords);
-                assert!(!response.degraded, "generous-budget contract query degraded ({label})");
-                let direct =
-                    shadow.query_batch_opts(&[seeker], keywords, k, BatchOptions::new().exec(exec));
-                let want: Vec<(socialscope_graph::NodeId, f64)> =
-                    direct[0].result.ranked.iter().filter(|(_, s)| *s > 0.0).copied().collect();
-                let got: Vec<(socialscope_graph::NodeId, f64)> =
-                    response.results.iter().map(|r| (r.item, r.score)).collect();
-                assert_eq!(got, want, "server round-trip diverged from engine ({label})");
-                assert_eq!(response.unclustered, direct[0].unclustered, "flag diverged ({label})");
-            }
-        }
-    };
-    assert_matches_shadow(&shadow, "pre-apply");
-
-    // A malformed apply (unknown op) is refused with a typed 400 before
-    // it reaches the engine, and leaves every subsequent query exactly
-    // where it was. (An engine-level rejection → 409 rollback needs an
-    // injected fault — the engines welcome unknown taggers as late
-    // joiners — and is asserted in the server's failpoints tests.)
-    let bad = "{\"version\":1,\"events\":[{\"op\":\"obliterate\",\"tagger\":1,\"item\":2,\"tag\":\"x\"}]}";
-    let (status, body) =
-        post(addr, "/apply", bad).unwrap_or_else(|e| fail_io(&format!("apply failed: {e}")));
-    assert_eq!(status, 400, "malformed apply must answer 400, got {status}: {body}");
-    assert!(body.contains("bad_request"), "400 must carry the typed error: {body}");
-    assert_matches_shadow(&shadow, "post-refusal");
-
-    // A valid apply commits, reports its effect, and is visible to every
-    // query admitted afterwards.
-    let good = [TagEvent::assign(users[0], items[0], "serving")];
-    let (status, body) = post(addr, "/apply", &ApplyRequest::new(&good).to_json())
-        .unwrap_or_else(|e| fail_io(&format!("apply failed: {e}")));
-    assert_eq!(status, 200, "valid apply must answer 200, got {status}: {body}");
-    let shadow_report =
-        shadow.try_apply_with(exec, &good).expect("shadow engine accepts the valid events");
-    let applied = socialscope_content::wire::ApplyResponse::from_json(&body)
-        .unwrap_or_else(|e| fail_io(&format!("unparseable apply response: {e}")));
-    assert_eq!(applied.changed_entries, shadow_report.changed_entries, "apply report diverged");
-    assert_matches_shadow(&shadow, "post-apply");
-    handle.shutdown();
-
-    // Degradation is in-band: a window longer than the SLO leaves zero
-    // budget at flush time, and the engine's defined partial result comes
-    // back as HTTP 200 with the degraded marker — not as an error.
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        window: Duration::from_millis(60),
-        slo: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
-    let handle = socialscope_server::spawn(config, engine.clone(), *exec)
-        .unwrap_or_else(|e| fail_io(&format!("cannot boot degraded-contract server: {e}")));
-    let body = QueryRequest::new(users[0], keyword_sets[0].clone(), k).to_json();
-    let (status, body) = post(handle.addr(), "/query", &body)
-        .unwrap_or_else(|e| fail_io(&format!("degraded query failed: {e}")));
-    assert_eq!(status, 200, "degraded responses are 200s, got {status}: {body}");
-    let response = QueryResponse::from_json(&body)
-        .unwrap_or_else(|e| fail_io(&format!("unparseable degraded response: {e}")));
-    assert!(response.degraded, "expired budget must set the degraded marker: {body}");
-    handle.shutdown();
-}
-
-/// E13 — the serving-front sweep: boot `socialscope_server` in-process
-/// over the clustered engine (exact fallback attached), measure its
-/// window-0 per-request capacity with a burst, then drive every
-/// micro-batching window open-loop at 1.5× that capacity — a rate the
-/// per-request path cannot sustain, so the sweep shows what the batching
-/// window buys at the tail. Latency percentiles are measured from each
-/// request's *scheduled* arrival (queue wait included). The wire contract
-/// is asserted before anything is timed. Emits a JSON run object
-/// (`BENCH_serving.json` when `--out` points there).
-fn serving_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut requests = 8000usize;
-    let mut conns = 128usize;
-    let mut slo_ms = 50u64;
-    let mut k = 10usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--requests" => requests = parse_num("--requests", value("--requests")),
-            "--conns" => conns = parse_num("--conns", value("--conns")),
-            "--slo-ms" => slo_ms = parse_num("--slo-ms", value("--slo-ms")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown serving flag `{other}` (expected --scale/--requests/--conns/--slo-ms/--k/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
-    if requests == 0 {
-        fail("--requests must be at least 1");
-    }
-    if conns == 0 {
-        fail("--conns must be at least 1");
-    }
-    if slo_ms == 0 {
-        fail("--slo-ms must be at least 1");
-    }
-
-    heading(&format!(
-        "E13 / serving front at scale {scale} ({requests} requests, {conns} connections, SLO {slo_ms}ms)"
-    ));
-    let exec = socialscope_exec::Exec::auto();
-    let site = site_at_scale(scale);
-    let engine =
-        ClusteredNetworkAwareSearch::build_with(&exec, &site.graph, &NetworkBasedClustering, 0.3)
-            .with_exact_fallback();
-
-    // Contract before timing: if the serving path is wrong, a fast wrong
-    // answer must not make it into the artifact.
-    serving_contract(&exec, &engine, &site.users, &site.items, k);
-    println!("contract: round-trip ≡ engine, apply rollback, in-band degradation — ok");
-
-    let keyword_sets = serving_keyword_sets();
-    let plan_requests: Vec<PlannedRequest> = (0..requests)
-        .map(|i| PlannedRequest {
-            path: "/query",
-            body: QueryRequest::new(
-                site.users[i % site.users.len()],
-                keyword_sets[i % keyword_sets.len()].clone(),
-                k,
-            )
-            .to_json(),
-        })
-        .collect();
-    let slo = Duration::from_millis(slo_ms);
-    let boot = |window_us: u64| {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            window: Duration::from_micros(window_us),
-            slo,
-            ..ServerConfig::default()
-        };
-        socialscope_server::spawn(config, engine.clone(), exec)
-            .unwrap_or_else(|e| fail_io(&format!("cannot boot server: {e}")))
-    };
-
-    // Capacity probe: everything scheduled at t = 0 against the
-    // per-request (window 0) server — the completion rate of the burst is
-    // what per-request serving can actually sustain.
-    let probe = boot(0);
-    let burst = LoadPlan { rate_rps: f64::INFINITY, conns, requests: plan_requests.clone() };
-    let capacity = run_load(probe.addr(), &burst);
-    probe.shutdown();
-    assert!(capacity.completed > 0, "capacity probe served nothing");
-    let capacity_rps = capacity.throughput_rps();
-    let offered_rps = capacity_rps * 1.5;
-    println!(
-        "capacity probe: {:.0} req/s per-request; offering {:.0} req/s (1.5x)",
-        capacity_rps, offered_rps
-    );
-
-    let mut rows: Vec<ServingRow> = Vec::new();
-    println!(
-        "\n{:>10} {:>12} {:>10} {:>8} {:>9} {:>12} {:>10} {:>10} {:>10}",
-        "window", "offered", "completed", "failed", "degraded", "throughput", "p50", "p99", "p99.9"
-    );
-    for &window_us in &SERVING_WINDOWS_US {
-        let server = boot(window_us);
-        let plan = LoadPlan { rate_rps: offered_rps, conns, requests: plan_requests.clone() };
-        let summary = run_load(server.addr(), &plan);
-        server.shutdown();
-        assert_eq!(
-            summary.completed + summary.failed,
-            requests,
-            "every planned request must be accounted for"
-        );
-        let row = ServingRow {
-            window_us,
-            offered_rps,
-            completed: summary.completed,
-            failed: summary.failed,
-            degraded: summary.degraded,
-            throughput_rps: summary.throughput_rps(),
-            p50_us: summary.percentile_us(50.0),
-            p99_us: summary.percentile_us(99.0),
-            p999_us: summary.percentile_us(99.9),
-        };
-        println!(
-            "{:>8}us {:>10.0}/s {:>10} {:>8} {:>9} {:>10.0}/s {:>8}us {:>8}us {:>8}us",
-            row.window_us,
-            row.offered_rps,
-            row.completed,
-            row.failed,
-            row.degraded,
-            row.throughput_rps,
-            row.p50_us,
-            row.p99_us,
-            row.p999_us
-        );
-        rows.push(row);
-    }
-
-    // Headline: the batched row that beats per-request serving on
-    // throughput without giving up the tail. Machine noise can deny one
-    // on a loaded CI box, so the flag is emitted honestly and gated only
-    // on the committed artifact.
-    let baseline = &rows[0];
-    let winner = rows
-        .iter()
-        .filter(|r| r.window_us > 0)
-        .filter(|r| r.throughput_rps >= baseline.throughput_rps && r.p99_us <= baseline.p99_us)
-        .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps));
-    let best_batched = winner.unwrap_or_else(|| {
-        rows.iter()
-            .filter(|r| r.window_us > 0)
-            .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
-            .expect("sweep contains batched windows")
-    });
-    let beats = winner.is_some();
-    println!(
-        "\nheadline: window {}us serves {:.0} req/s at p99 {}us vs per-request {:.0} req/s at p99 {}us ({})",
-        best_batched.window_us,
-        best_batched.throughput_rps,
-        best_batched.p99_us,
-        baseline.throughput_rps,
-        baseline.p99_us,
-        if beats { "micro-batching wins" } else { "no win on this run" }
-    );
-
-    let json = format!(
-        "{{\"experiment\":\"E13_serving_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"requests\":{requests},\"conns\":{conns},\"slo_ms\":{slo_ms},\"site_users\":{},\"contract\":{{\"roundtrip_identical\":true,\"apply_visible\":true,\"malformed_apply_typed\":true,\"degraded_in_band\":true}},\"windows_us\":[{}],\"capacity_rps\":{capacity_rps:.1},\"offered_rps\":{offered_rps:.1},\"rows\":[{}],\"headline\":{{\"window_us\":{},\"throughput_rps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"baseline_throughput_rps\":{:.1},\"baseline_p50_us\":{},\"baseline_p99_us\":{},\"beats_per_request\":{}}}}}\n",
-        site.users.len(),
-        SERVING_WINDOWS_US.map(|w| w.to_string()).join(","),
-        rows.iter().map(ServingRow::to_json).collect::<Vec<_>>().join(","),
-        best_batched.window_us,
-        best_batched.throughput_rps,
-        best_batched.p50_us,
-        best_batched.p99_us,
-        baseline.throughput_rps,
-        baseline.p50_us,
-        baseline.p99_us,
-        beats
     );
     write_json_out(out.as_deref(), &json);
 }

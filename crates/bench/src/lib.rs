@@ -4,8 +4,6 @@
 
 #![warn(rust_2018_idioms)]
 
-pub mod loadgen;
-
 use socialscope_discovery::analyzer::similarity::derive_similarity_links;
 use socialscope_graph::{NodeId, SocialGraph};
 use socialscope_workload::{generate_site, GeneratedSite, SiteConfig};

@@ -117,7 +117,7 @@ fn table_bytes<K, V>(len: usize) -> usize {
 }
 
 /// What one [`TagEvent`] batch application changed, returned by
-/// [`ExactIndex::apply`] and [`ClusteredIndex::apply`]. An all-zero report
+/// [`ExactIndex::commit`] and [`ClusteredIndex::commit`]. An all-zero report
 /// ([`Self::is_noop`]) means the batch was entirely redundant — duplicate
 /// assigns, retracts of absent assignments — and the index (including the
 /// clustered index's build stamp) is untouched.
@@ -350,29 +350,16 @@ enum ScratchSlot<'a> {
     Pool(&'a mut BatchScratchPool),
 }
 
-/// Options for one batched query call — the single entry point that
-/// replaced the `query_batch` / `query_batch_with` / `query_batch_par` /
-/// `query_batch_par_with` method matrix on both indexes.
+/// Options for one batched query call — the single batched entry point on
+/// both indexes.
 ///
 /// Build with the fluent setters and pass (by value) to
 /// [`ExactIndex::query_batch_opts`] or
-/// [`ClusteredIndex::query_batch_opts`]; the defaults reproduce the old
-/// `query_batch` exactly. Migration table:
-///
-/// | Old call | New call |
-/// |---|---|
-/// | `query_batch(users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new())` |
-/// | `query_batch_with(&mut scratch, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().scratch(&mut scratch))` |
-/// | `query_batch_par(&exec, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().exec(&exec))` |
-/// | `query_batch_par_with(&exec, &mut pool, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().exec(&exec).scratch_pool(&mut pool))` |
-///
-/// (The clustered index's variants take the site model as their first
-/// argument, before `users`, in both the old and the new shape.)
-///
-/// Every combination is element-wise identical to single
-/// [`ExactIndex::query`] / [`ClusteredIndex::query`] calls — the options
-/// choose *how* the batch is served (threads, scratch reuse), never what
-/// it answers (a proptested invariant).
+/// [`ClusteredIndex::query_batch_opts`]. Every combination is
+/// element-wise identical to single [`ExactIndex::query`] /
+/// [`ClusteredIndex::query`] calls — the options choose *how* the batch
+/// is served (threads, scratch reuse), never what it answers (a
+/// proptested invariant).
 #[derive(Default)]
 pub struct BatchOptions<'a> {
     /// The execution context sharded serving fans out on. `None` means
@@ -710,57 +697,8 @@ impl ExactIndex {
         ExactIndexBuilder { site, exec: None, layout: None }
     }
 
-    /// Apply a batch of [`TagEvent`]s to the live index, patching the
-    /// affected posting lists in place. Threads come from [`Exec::auto`];
-    /// see [`Self::apply_with`] for the contract and mechanics.
-    pub fn apply(&mut self, site: &SiteModel, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] with an error channel: capacity overflows (and
-    /// injected faults) surface as errors, and an `Err` return guarantees
-    /// the index is byte-identical to its pre-call state (see
-    /// [`Self::try_apply_with`]).
-    pub fn try_apply(
-        &mut self,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> crate::Result<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
-    ///
-    /// **Contract:** `site` must already reflect the batch — call
-    /// [`SiteModel::apply`] with the same events first. The index then
-    /// converges to exactly the state [`Self::build`] would produce from
-    /// that site (same stats, same list per `(tag, user)`, same answer to
-    /// every query — a proptested invariant), without the rebuild.
-    ///
-    /// Mechanics: an event on `(tagger, item, tag)` can only move the
-    /// stored score `score_k(item, u)` of users `u` with `tagger ∈
-    /// network(u)` — and networks are stable under tag events — so the
-    /// affected `(user, tag, item)` triples are enumerated and deduplicated
-    /// up front, their new scores recomputed read-only in parallel shards,
-    /// and every list holding a score that moved replaced by its patched
-    /// successor ([`PostingList::patched`]). Redundant events (duplicate
-    /// assigns, retracts of nothing) recompute to the stored score and
-    /// touch nothing, so replays are free and [`ApplyReport::is_noop`]
-    /// reports them honestly. The work is split in two —
-    /// [`Self::stage`] from `&self`, then [`Self::commit`] — so a server
-    /// can do the first half beside its readers.
-    pub fn apply_with(
-        &mut self,
-        exec: &Exec,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, site, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
+    /// Apply a batch of [`TagEvent`]s to the live index, **all-or-nothing
+    /// per batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
     /// lives in the stage, which only reads the index — so an `Err` return
     /// (capacity overflow, or an injected fault at
     /// [`crate::faults::EXACT_APPLY_STAGE`] /
@@ -787,15 +725,28 @@ impl ExactIndex {
 
     /// The first half of an apply: everything fallible and everything
     /// proportional to the batch's reach, computed from `&self` — queries
-    /// keep being served while it runs. Event tags intern into a *cloned*
-    /// symbol table (new tags get ids; queries compare by string, so id
-    /// numbering never affects answers); the affected `(user, tag, item)`
-    /// triples are enumerated and deduplicated, their new scores recomputed
-    /// read-only in parallel shards against the post-event `site`, compared
-    /// with the stored scores so only *effective* patches survive, and the
-    /// row count the patches imply is validated against the slot bound.
-    /// Both failpoints fire here. Same `site` contract as
-    /// [`Self::apply_with`].
+    /// keep being served while it runs.
+    ///
+    /// **Contract:** `site` must already reflect the batch — call
+    /// [`SiteModel::try_apply`] with the same events first. Once
+    /// [`Self::commit`]ted, the index reaches exactly the state
+    /// [`Self::build`] would produce from that site (same stats, same list
+    /// per `(tag, user)`, same answer to every query — a proptested
+    /// invariant), without the rebuild.
+    ///
+    /// Mechanics: an event on `(tagger, item, tag)` can only move the
+    /// stored score `score_k(item, u)` of users `u` with `tagger ∈
+    /// network(u)` — and networks are stable under tag events — so the
+    /// affected `(user, tag, item)` triples are enumerated and deduplicated
+    /// up front, their new scores recomputed read-only in parallel shards,
+    /// and every list holding a score that moved gets a patched successor
+    /// ([`PostingList::patched`]). Event tags intern into a *cloned* symbol
+    /// table (new tags get ids; queries compare by string, so id numbering
+    /// never affects answers), and the row count the patches imply is
+    /// validated against the slot bound. Redundant events (duplicate
+    /// assigns, retracts of nothing) recompute to the stored score and
+    /// touch nothing, so replays are free and [`ApplyReport::is_noop`]
+    /// reports them honestly. Both failpoints fire here.
     pub fn stage(
         &self,
         exec: &Exec,
@@ -1076,8 +1027,7 @@ impl ExactIndex {
     /// arrive in input order and each equals the corresponding
     /// [`Self::query`] call exactly, whatever the options: [`BatchOptions`]
     /// choose the threads ([`Exec::auto`] by default) and the scratch reuse
-    /// (throwaway by default), never the answers. See [`BatchOptions`] for
-    /// the migration table from the retired `query_batch` method matrix.
+    /// (throwaway by default), never the answers.
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -1103,59 +1053,6 @@ impl ExactIndex {
                 deadline,
             ),
         }
-    }
-
-    /// Batched top-k with every default.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(&self, users: &[NodeId], keywords: &[String], k: usize) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Batched top-k through a caller-owned sequential arena.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.serve_batch_seq(scratch, users, keywords, k, Deadline::unbounded())
-    }
-
-    /// Batched top-k on a caller-chosen [`Exec`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Batched top-k on a caller-chosen [`Exec`] through a caller-owned
-    /// arena pool.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.serve_batch_sharded(exec, pool, users, keywords, k, Deadline::unbounded())
     }
 
     /// The single-threaded batch path: one scratch arena, users walked in
@@ -1706,7 +1603,7 @@ impl ClusteredIndex {
     }
 
     /// The index's build identity: a fresh non-zero stamp per build *and
-    /// per effective [`Self::apply`]*, which the scratch-level gather
+    /// per effective [`Self::commit`]*, which the scratch-level gather
     /// caches key on (0 — a default-constructed index — disables caching).
     /// The stamp moving on every effective apply is what makes stale
     /// cached pool slots impossible after a delta: a warm scratch keyed on
@@ -1715,35 +1612,38 @@ impl ClusteredIndex {
         self.stamp
     }
 
-    /// Apply a batch of [`TagEvent`]s to the live index: recluster late
-    /// joiners, splice the refinement arena, and patch the affected
-    /// `(tag, cluster)` bound lists in place. Threads come from
-    /// [`Exec::auto`]; see [`Self::apply_with`] for the contract and
-    /// mechanics.
-    pub fn apply(&mut self, site: &SiteModel, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] with an error channel: capacity overflows (and
-    /// injected faults) surface as errors, and an `Err` return guarantees
-    /// index, clustering and refinement are byte-identical to their
-    /// pre-call state (see [`Self::try_apply_with`]).
-    pub fn try_apply(
+    /// Apply a batch of [`TagEvent`]s to the live index, **all-or-nothing
+    /// per batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
+    /// lives in the stage, which only reads the index — so an `Err` return
+    /// (capacity overflow, or an injected fault at any of
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`]) leaves the index
+    /// byte-identical to its pre-call state — bound lists, refinement
+    /// groups, clustering, build stamp — so site + index + clustering can
+    /// never be observed torn.
+    pub fn try_apply_with(
         &mut self,
+        exec: &Exec,
         site: &SiteModel,
         events: &[TagEvent],
     ) -> crate::Result<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), site, events)
+        let mut staged = self.stage(exec, site, events)?;
+        self.commit(&mut staged)
     }
 
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
+    /// The first half of an apply: recluster late joiners, splice the
+    /// refinement arena and patch the affected `(tag, cluster)` bound
+    /// lists, computed from `&self` — queries keep being served while it
+    /// runs.
     ///
     /// **Contract:** `site` must already reflect the batch — call
-    /// [`SiteModel::apply`] with the same events first. The index then
-    /// converges to exactly the state [`Self::build`] would produce from
-    /// that site and the post-join clustering (same stats, same bound list
-    /// per `(tag, cluster)`, same refinement groups, same answer to every
-    /// query — a proptested invariant), without the rebuild.
+    /// [`SiteModel::try_apply`] with the same events first. Once
+    /// [`Self::commit`]ted, the index reaches exactly the state
+    /// [`Self::build`] would produce from that site and the post-join
+    /// clustering (same stats, same bound list per `(tag, cluster)`, same
+    /// refinement groups, same answer to every query — a proptested
+    /// invariant), without the rebuild.
     ///
     /// Four phases:
     ///
@@ -1764,58 +1664,21 @@ impl ClusteredIndex {
     ///    joiner scores on. Exactly those keys are enumerated,
     ///    deduplicated, recomputed read-only in parallel shards (max over
     ///    the cluster's members), and every bound list holding a bound that
-    ///    moved replaced by its patched successor
-    ///    ([`PostingList::patched`]); the pool is re-laid-out to its
-    ///    canonical ascending key order only when lists appeared or
-    ///    emptied.
+    ///    moved gets a patched successor ([`PostingList::patched`]); the
+    ///    pool is re-laid-out to its canonical ascending key order only
+    ///    when lists appeared or emptied.
     /// 4. **Stamp bump** — only if anything changed, so a redundant batch
     ///    is a true no-op and warm gather caches stay valid; any effective
     ///    change moves [`Self::build_stamp`] and invalidates them.
     ///
-    /// Phases 1–3 are [`Self::stage`] (from `&self`, every successor built
-    /// beside the live state), the swap-in and phase 4 are
-    /// [`Self::commit`] — so a server can stage beside its readers.
-    pub fn apply_with(
-        &mut self,
-        exec: &Exec,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, site, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: [`Self::commit`] of [`Self::stage`]. Every fallible step
-    /// lives in the stage, which only reads the index — so an `Err` return
-    /// (capacity overflow, or an injected fault at any of
-    /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
-    /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
-    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`]) leaves the index
-    /// byte-identical to its pre-call state — bound lists, refinement
-    /// groups, clustering, build stamp — so site + index + clustering can
-    /// never be observed torn.
-    pub fn try_apply_with(
-        &mut self,
-        exec: &Exec,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> crate::Result<ApplyReport> {
-        let mut staged = self.stage(exec, site, events)?;
-        self.commit(&mut staged)
-    }
-
-    /// The first half of an apply: phases 1–3 of [`Self::apply_with`] in
-    /// staged form, computed from `&self` — queries keep being served while
-    /// it runs. Joins go through a cloned clustering, tag interning through
-    /// a cloned symbol table; changed tagger groups are collected and the
-    /// successor refinement index is assembled beside the live one
-    /// (`RefinementIndex::spliced`); affected bounds are recomputed
-    /// read-only in parallel shards and compared with the stored bounds so
-    /// only *effective* patches survive; the successor pool layout is
-    /// planned when lists appear or empty, and validated against the slot
-    /// bound. All three failpoints fire here. Same `site` contract as
-    /// [`Self::apply_with`].
+    /// Phases 1–3 run here in staged form: joins go through a cloned
+    /// clustering, tag interning through a cloned symbol table; changed
+    /// tagger groups are collected and the successor refinement index is
+    /// assembled beside the live one (`RefinementIndex::spliced`); affected
+    /// bounds are compared with the stored bounds so only *effective*
+    /// patches survive; the successor pool layout is planned when lists
+    /// appear or empty, and validated against the slot bound. All three
+    /// failpoints fire here. The swap-in and phase 4 are [`Self::commit`].
     pub fn stage(
         &self,
         exec: &Exec,
@@ -2024,7 +1887,7 @@ impl ClusteredIndex {
     /// clustering and refinement index swap in, each successor bound list
     /// trades places with the live one, a planned pool re-layout moves the
     /// list handles into the successor pool, and the build stamp moves
-    /// (phase 4 of [`Self::apply_with`]). A stage that changes nothing
+    /// (phase 4 of [`Self::stage`]). A stage that changes nothing
     /// commits as a true no-op (stamp parked, warm gather caches valid).
     /// What the commit replaced is left in `staged`: no list, table or
     /// arena is freed here, so a caller holding a lock drops `staged`
@@ -2223,8 +2086,7 @@ impl ClusteredIndex {
     /// included (empty-with-flag, see
     /// [`ClusteredQueryReport::unclustered`]). Threads come from
     /// [`Exec::auto`]; behaviour knobs (execution, scratch reuse) come
-    /// through [`BatchOptions`], which carries the migration table from
-    /// the retired `query_batch` method matrix.
+    /// through [`BatchOptions`].
     pub fn query_batch_opts(
         &self,
         site: &SiteModel,
@@ -2252,67 +2114,6 @@ impl ClusteredIndex {
                 deadline,
             ),
         }
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(
-        &self,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(site, users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.serve_batch_seq(scratch, site, users, keywords, k, Deadline::unbounded())
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(site, users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.serve_batch_sharded(exec, pool, site, users, keywords, k, Deadline::unbounded())
     }
 
     /// The sequential batch path behind [`Self::query_batch_opts`]:

@@ -200,13 +200,8 @@ impl SiteModel {
     /// never change under tag events — connection links are a different
     /// activity — which is what lets the index delta paths treat
     /// `network(u)` as stable.
-    pub fn apply(&mut self, events: &[TagEvent]) -> usize {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply(events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply`] with an error channel for the fault-injection
-    /// harness. The site model is all-or-nothing by construction: every
+    ///
+    /// The site model is all-or-nothing by construction: every
     /// fallible step (here, the [`crate::faults::SITE_APPLY`] failpoint)
     /// runs *before* the first mutation, so an `Err` return guarantees the
     /// model is byte-identical to its pre-call state.

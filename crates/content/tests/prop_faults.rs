@@ -108,7 +108,7 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
         TagEvent::assign(users[1], items[2], "baseball"),
     ];
     let mut updated_site = site0.clone();
-    updated_site.apply(&events);
+    updated_site.try_apply(&events).unwrap();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
     for &fp in faults::APPLY_SITES {
@@ -167,7 +167,7 @@ fn every_apply_fault_surfaces_from_stage_and_leaves_the_live_index_untouched() {
         TagEvent::retract(users[1], items[0], "baseball"),
     ];
     let mut updated_site = site0.clone();
-    updated_site.apply(&events);
+    updated_site.try_apply(&events).unwrap();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
     for layout in [Layout::Raw, Layout::Compressed] {
@@ -245,7 +245,7 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
         TagEvent::assign(users[1], items[2], "baseball"),
     ];
     let mut updated_site = site0.clone();
-    updated_site.apply(&events);
+    updated_site.try_apply(&events).unwrap();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
     for &fp in faults::APPLY_SITES {
@@ -449,7 +449,7 @@ proptest! {
             })
             .collect();
         let mut updated_site = site0.clone();
-        updated_site.apply(&events);
+        updated_site.try_apply(&events).unwrap();
         let fp = faults::APPLY_SITES[site_pick % faults::APPLY_SITES.len()];
 
         scenario.arm(fp, FailAction::Fault { after: 0 });

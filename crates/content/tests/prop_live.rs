@@ -126,8 +126,8 @@ proptest! {
             let mut site = SiteModel::from_graph(&g);
             let mut index = ExactIndex::builder(&site).exec(&exec).build();
             for chunk in events.chunks(chunk_len) {
-                site.apply(chunk);
-                index.apply_with(&exec, &site, chunk);
+                site.try_apply(chunk).unwrap();
+                index.try_apply_with(&exec, &site, chunk).unwrap();
             }
             let rebuilt = ExactIndex::builder(&site).build();
             prop_assert_eq!(index.stats(), rebuilt.stats(), "stats at {} threads", threads);
@@ -187,8 +187,8 @@ proptest! {
                 .clustering(clustering.clone())
                 .build();
             for chunk in events.chunks(chunk_len) {
-                site.apply(chunk);
-                index.apply_with(&exec, &site, chunk);
+                site.try_apply(chunk).unwrap();
+                index.try_apply_with(&exec, &site, chunk).unwrap();
             }
             for event in &events {
                 prop_assert!(
@@ -263,9 +263,9 @@ proptest! {
             .layout(Layout::Compressed)
             .build();
         for chunk in events.chunks(chunk_len) {
-            site.apply(chunk);
-            exact.apply(&site, chunk);
-            clustered.apply(&site, chunk);
+            site.try_apply(chunk).unwrap();
+            exact.try_apply_with(&Exec::auto(), &site, chunk).unwrap();
+            clustered.try_apply_with(&Exec::auto(), &site, chunk).unwrap();
         }
         prop_assert_eq!(exact.layout(), Layout::Compressed, "apply abandoned the layout");
         prop_assert_eq!(clustered.layout(), Layout::Compressed, "apply abandoned the layout");
@@ -346,7 +346,7 @@ proptest! {
                     .build();
                 let (mut exact_one_call, mut clustered_one_call) = (exact.clone(), clustered.clone());
                 for chunk in events.chunks(chunk_len) {
-                    site.apply(chunk);
+                    site.try_apply(chunk).unwrap();
                     let before: Vec<_> =
                         user_ids.iter().map(|&u| exact.query(u, &keywords, 3)).collect();
                     let stamps = (exact.build_stamp(), clustered.build_stamp());
@@ -452,9 +452,12 @@ proptest! {
         let exact_stats = exact.stats();
         let clustered_stats = clustered.stats_with_refinement();
         for batch in [&events[..], &[]] {
-            prop_assert_eq!(site.apply(batch), 0, "site treated the batch as effective");
-            prop_assert!(exact.apply(&site, batch).is_noop());
-            let report = clustered.apply(&site, batch);
+            prop_assert_eq!(
+                site.try_apply(batch).unwrap(), 0,
+                "site treated the batch as effective"
+            );
+            prop_assert!(exact.try_apply_with(&Exec::auto(), &site, batch).unwrap().is_noop());
+            let report = clustered.try_apply_with(&Exec::auto(), &site, batch).unwrap();
             prop_assert!(report.is_noop(), "clustered apply reported {:?}", report);
             prop_assert_eq!(clustered.build_stamp(), stamp, "stamp moved on a no-op");
         }
@@ -515,8 +518,8 @@ fn warm_scratch_reads_fresh_state_after_apply() {
     // its first baseball bound list — a pool re-layout, the worst case for
     // a stale gather cache.
     let events = vec![TagEvent::assign(users[4], items[0], "baseball")];
-    site.apply(&events);
-    let report = index.apply(&site, &events);
+    site.try_apply(&events).unwrap();
+    let report = index.try_apply_with(&Exec::auto(), &site, &events).unwrap();
     assert!(!report.is_noop());
     assert_ne!(index.build_stamp(), stamp, "effective apply must move the stamp");
     let served = index.query_batch_opts(
@@ -573,8 +576,8 @@ fn late_joiner_is_clustered_by_their_first_event() {
     assert!(index.query(&site, late, &keywords, 3).unclustered);
 
     let events = vec![TagEvent::assign(late, items[3], "baseball")];
-    site.apply(&events);
-    let report = index.apply(&site, &events);
+    site.try_apply(&events).unwrap();
+    let report = index.try_apply_with(&Exec::auto(), &site, &events).unwrap();
     assert_eq!(report.cluster_joins, 1);
     // The joiner's network {u1} overlaps u0's {u1, u2} at Jaccard 1/2 ≥
     // 0.3: the greedy predicate folds them into clique A's cluster, not a
@@ -609,19 +612,19 @@ fn a_stale_stage_is_refused_and_changes_nothing() {
     let redundant = vec![TagEvent::assign(users[1], items[0], "baseball")];
 
     let mut site_after_first = site.clone();
-    site_after_first.apply(&first);
+    site_after_first.try_apply(&first).unwrap();
     let mut stale_exact = exact.stage(&exec, &site_after_first, &first).unwrap();
     let mut stale_clustered = clustered.stage(&exec, &site_after_first, &first).unwrap();
 
     // A redundant batch commits in between: nothing moved, nothing stale.
-    assert_eq!(site.apply(&redundant), 0);
+    assert_eq!(site.try_apply(&redundant).unwrap(), 0);
     assert!(exact.try_apply_with(&exec, &site, &redundant).unwrap().is_noop());
     assert!(clustered.try_apply_with(&exec, &site, &redundant).unwrap().is_noop());
     exact.check_current(&stale_exact).unwrap();
     clustered.check_current(&stale_clustered).unwrap();
 
     // An effective one does: both stages are now behind.
-    site.apply(&second);
+    site.try_apply(&second).unwrap();
     let staged_at = (exact.build_stamp(), clustered.build_stamp());
     assert!(!exact.try_apply_with(&exec, &site, &second).unwrap().is_noop());
     assert!(!clustered.try_apply_with(&exec, &site, &second).unwrap().is_noop());
@@ -639,7 +642,7 @@ fn a_stale_stage_is_refused_and_changes_nothing() {
 
     // Staged again against the moved state, the same batch lands and the
     // indexes converge on the rebuild.
-    site.apply(&first);
+    site.try_apply(&first).unwrap();
     exact.try_apply_with(&exec, &site, &first).unwrap();
     clustered.try_apply_with(&exec, &site, &first).unwrap();
     let keywords = vec!["baseball".to_string(), "museum".to_string()];

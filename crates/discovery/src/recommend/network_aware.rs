@@ -16,10 +16,9 @@
 
 use super::Recommendation;
 use socialscope_content::{
-    ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex,
-    ClusteredQueryReport, ClusteringStrategy, ContentError, ExactIndex, MemoryProfile,
-    NetworkBasedClustering, Result as ContentResult, SiteModel, StagedClusteredApply,
-    StagedExactApply, TagEvent, TopKResult,
+    ApplyReport, BatchOptions, ClusteredIndex, ClusteredQueryReport, ClusteringStrategy,
+    ContentError, ExactIndex, MemoryProfile, NetworkBasedClustering, Result as ContentResult,
+    SiteModel, StagedClusteredApply, StagedExactApply, TagEvent, TopKResult,
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{NodeId, SocialGraph};
@@ -69,35 +68,17 @@ impl NetworkAwareSearch {
         Self::to_recommendations(self.query(user, keywords, k))
     }
 
-    /// Apply a batch of tagging events to the live engine: the site model
-    /// updates first, then the exact index patches itself to exactly the
-    /// state a from-scratch rebuild over the updated site would produce —
-    /// every subsequent query (single or batch) answers from the fresh
-    /// state. Threads from [`Exec::auto`].
+    /// Apply a batch of tagging events to the live engine —
+    /// [`Self::commit`] of [`Self::stage`]: the site model updates first,
+    /// then the exact index patches itself to exactly the state a
+    /// from-scratch rebuild over the updated site would produce — every
+    /// subsequent query (single or batch) answers from the fresh state.
     ///
-    /// Panics on capacity exhaustion; [`Self::try_apply`] surfaces that as
-    /// an error instead.
-    pub fn apply(&mut self, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
-    pub fn apply_with(&mut self, exec: &Exec, events: &[TagEvent]) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Fallible [`Self::apply`]: the whole engine apply is transactional.
-    /// On any error — capacity exhaustion, or an injected fault under the
+    /// The whole engine apply is transactional. On any error — capacity
+    /// exhaustion, or an injected fault under the
     /// `failpoints` test feature — *both* the site model and the index are
     /// left byte-identical to their pre-apply state; no query can ever see
-    /// a site/index tear. Threads from [`Exec::auto`].
-    pub fn try_apply(&mut self, events: &[TagEvent]) -> ContentResult<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]:
-    /// [`Self::commit`] of [`Self::stage`].
+    /// a site/index tear.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
@@ -137,8 +118,7 @@ impl NetworkAwareSearch {
     /// reused across the batch, and users are visited in index-layout
     /// order. Results arrive in input order, each identical to the
     /// corresponding [`Self::query`] call; [`BatchOptions`] chooses
-    /// threads and scratch reuse (and carries the migration table from the
-    /// retired `query_batch` method matrix).
+    /// threads and scratch reuse.
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -162,85 +142,6 @@ impl NetworkAwareSearch {
             .into_iter()
             .map(Self::to_recommendations)
             .collect()
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(&self, users: &[NodeId], keywords: &[String], k: usize) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().scratch(scratch))
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec).scratch_pool(pool))
-    }
-
-    /// Deprecated spelling of the default batched recommendation path.
-    #[deprecated(since = "0.1.0", note = "use `recommend_batch_opts` with `BatchOptions::new()`")]
-    pub fn recommend_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the multi-threaded batched recommendation
-    /// path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `recommend_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn recommend_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
     }
 
     fn to_recommendations(result: TopKResult) -> Vec<Recommendation> {
@@ -426,39 +327,20 @@ impl ClusteredNetworkAwareSearch {
         Self::to_recommendations(self.query(user, keywords, k))
     }
 
-    /// Apply a batch of tagging events to the live engine: the site model
-    /// updates first, then the clustered index patches its bound lists and
-    /// refinement groups in place — reclustering late-joining taggers onto
-    /// their nearest existing cluster as it goes, so their next query
-    /// answers from real bounds instead of the empty-with-flag semantic —
-    /// and a configured [`Self::with_fallback`] exact index is kept in
-    /// lockstep. The returned report is the clustered index's. Threads
-    /// from [`Exec::auto`].
+    /// Apply a batch of tagging events to the live engine —
+    /// [`Self::commit`] of [`Self::stage`]: the site model updates first,
+    /// then the clustered index patches its bound lists and refinement
+    /// groups in place — reclustering late-joining taggers onto their
+    /// nearest existing cluster as it goes, so their next query answers
+    /// from real bounds instead of the empty-with-flag semantic — and a
+    /// configured [`Self::with_fallback`] exact index is kept in lockstep.
+    /// The returned report is the clustered index's.
     ///
-    /// Panics on capacity exhaustion; [`Self::try_apply`] surfaces that as
-    /// an error instead.
-    pub fn apply(&mut self, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
-    pub fn apply_with(&mut self, exec: &Exec, events: &[TagEvent]) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Fallible [`Self::apply`]: the whole engine apply is transactional.
-    /// On any error — capacity exhaustion, or an injected fault under the
+    /// The whole engine apply is transactional. On any error — capacity
+    /// exhaustion, or an injected fault under the
     /// `failpoints` test feature — the site model, the clustered index
     /// *and* the fallback exact index are all left byte-identical to their
     /// pre-apply state; no query can ever see a site/index/fallback tear.
-    /// Threads from [`Exec::auto`].
-    pub fn try_apply(&mut self, events: &[TagEvent]) -> ContentResult<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]:
-    /// [`Self::commit`] of [`Self::stage`].
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
@@ -526,9 +408,8 @@ impl ClusteredNetworkAwareSearch {
     /// Raw clustered top-k for a batch of seekers sharing one keyword set;
     /// results arrive in input order, each identical to the corresponding
     /// [`Self::query`] call (fallback-served unclustered members
-    /// included). [`BatchOptions`] chooses threads and scratch reuse (and
-    /// carries the migration table from the retired `query_batch` method
-    /// matrix); the fallback sub-batch runs under the *same* options —
+    /// included). [`BatchOptions`] chooses threads and scratch reuse; the
+    /// fallback sub-batch runs under the *same* options —
     /// same `Exec`, same scratch or pool — so a sequential entry point
     /// never spawns threads and a pinned pool is reused, not reallocated.
     pub fn query_batch_opts(
@@ -544,63 +425,6 @@ impl ClusteredNetworkAwareSearch {
             exact.query_batch_opts(seekers, keywords, k, opts)
         });
         reports
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().scratch(scratch))
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec).scratch_pool(pool))
     }
 
     /// Re-answer every flagged (unclustered) report from the fallback
@@ -651,33 +475,6 @@ impl ClusteredNetworkAwareSearch {
             .collect()
     }
 
-    /// Deprecated spelling of the default batched recommendation path.
-    #[deprecated(since = "0.1.0", note = "use `recommend_batch_opts` with `BatchOptions::new()`")]
-    pub fn recommend_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the multi-threaded batched recommendation
-    /// path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `recommend_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn recommend_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
     fn to_recommendations(report: ClusteredQueryReport) -> Vec<Recommendation> {
         report
             .result
@@ -721,6 +518,7 @@ impl super::BatchRecommender for ClusteredNetworkAwareSearch {
 mod tests {
     use super::*;
     use socialscope_content::topk::top_k_exhaustive;
+    use socialscope_content::{BatchScratch, BatchScratchPool};
     use socialscope_graph::GraphBuilder;
 
     /// Two friends tag different items; a stranger tags a third.
@@ -1026,10 +824,11 @@ mod tests {
             ],
             vec![TagEvent::retract(users[1], clustered.site().items().nth(1).unwrap(), "museum")],
         ];
+        let exec = Exec::auto();
         for events in &batches {
-            let report = clustered.apply(events);
+            let report = clustered.try_apply_with(&exec, events).unwrap();
             assert!(!report.is_noop());
-            exact.apply(events);
+            exact.try_apply_with(&exec, events).unwrap();
 
             // Both engines now answer like engines rebuilt from the
             // current site state.
@@ -1138,39 +937,5 @@ mod tests {
         let mut fresh = clustered.stage(&exec, &staged_batch).unwrap();
         assert!(!clustered.commit(&mut fresh).unwrap().is_noop());
         assert_eq!(clustered.site().taggers_of(items[2], "museum"), &[users[1], users[3]]);
-    }
-
-    /// The deprecated engine wrappers are pure aliases of the `_opts`
-    /// entry points.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_engine_wrappers_match_opts() {
-        let (graph, users, _) = site();
-        let exact = NetworkAwareSearch::build(&graph);
-        let clustered = ClusteredNetworkAwareSearch::build_default(&graph);
-        let keywords = vec!["baseball".to_string(), "museum".to_string()];
-        let batch = vec![users[2], NodeId(9999), users[0], users[0], users[3]];
-        let exec = Exec::new(2).unwrap();
-        let mut scratch = BatchScratch::default();
-        let mut pool = BatchScratchPool::default();
-        let exact_want = exact.query_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(exact.query_batch(&batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_with(&mut scratch, &batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_par(&exec, &batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_par_with(&exec, &mut pool, &batch, &keywords, 3), exact_want);
-        let recs_want = exact.recommend_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(exact.recommend_batch(&batch, &keywords, 3), recs_want);
-        assert_eq!(exact.recommend_batch_par(&exec, &batch, &keywords, 3), recs_want);
-        let clustered_want = clustered.query_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(clustered.query_batch(&batch, &keywords, 3), clustered_want);
-        assert_eq!(clustered.query_batch_with(&mut scratch, &batch, &keywords, 3), clustered_want);
-        assert_eq!(clustered.query_batch_par(&exec, &batch, &keywords, 3), clustered_want);
-        assert_eq!(
-            clustered.query_batch_par_with(&exec, &mut pool, &batch, &keywords, 3),
-            clustered_want
-        );
-        let recs_want = clustered.recommend_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(clustered.recommend_batch(&batch, &keywords, 3), recs_want);
-        assert_eq!(clustered.recommend_batch_par(&exec, &batch, &keywords, 3), recs_want);
     }
 }

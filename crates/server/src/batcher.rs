@@ -3,8 +3,7 @@
 //! one engine batch call serves one `k`) and flushed to the batch engine
 //! when the oldest member has waited the configured window — or sooner,
 //! when the batch hits its size cap. A zero window degenerates to
-//! per-request serving through the same machinery, which is what the E13
-//! sweep's baseline arm measures.
+//! per-request serving through the same machinery.
 //!
 //! ## Concurrency invariants (enforced by `socialscope_analysis`)
 //!

@@ -120,6 +120,11 @@ fn unknown_routes_and_methods_answer_typed_errors() {
 fn malformed_and_mismatched_bodies_answer_400() {
     let fixture = boot(ServerConfig::default());
     let addr = fixture.server.addr();
+    // A valid event that would move users[0]'s ranking, followed by an
+    // unknown op: the whole batch must be refused, its valid prefix too.
+    let torn = ApplyRequest::new(&[TagEvent::assign(fixture.users[1], fixture.items[2], "museum")])
+        .to_json()
+        .replace("]}", ",{\"op\":\"obliterate\",\"tagger\":1,\"item\":2,\"tag\":\"t\"}]}");
     let cases = [
         ("/query", "not json at all"),
         ("/query", "{\"version\":1,\"seeker\":\"x\",\"keywords\":[],\"k\":1}"),
@@ -127,6 +132,7 @@ fn malformed_and_mismatched_bodies_answer_400() {
         ("/query", "{\"version\":2,\"seeker\":1,\"keywords\":[\"a\"],\"k\":1}"),
         ("/apply", "{\"version\":1,\"events\":[{\"op\":\"obliterate\",\"tagger\":1,\"item\":2,\"tag\":\"t\"}]}"),
         ("/apply", "{\"version\":99,\"events\":[]}"),
+        ("/apply", torn.as_str()),
     ];
     for (path, body) in cases {
         let (status, body) = post(addr, path, body);
@@ -138,6 +144,23 @@ fn malformed_and_mismatched_bodies_answer_400() {
     let (_, body) = post(addr, "/query", "{\"version\":2,\"seeker\":1,\"keywords\":[],\"k\":1}");
     let detail = ErrorResponse::from_json(&body).unwrap().detail;
     assert!(detail.contains("unsupported wire version 2"), "{detail}");
+
+    // No refused apply reached the engine: every later answer, an unknown
+    // seeker's included, is still the untouched shadow engine's.
+    let keywords = vec!["baseball".to_string(), "museum".to_string()];
+    for seeker in fixture.users.iter().copied().chain([NodeId(u64::MAX)]) {
+        let request = QueryRequest::new(seeker, keywords.clone(), 3);
+        let (status, body) = post(addr, "/query", &request.to_json());
+        assert_eq!(status, 200, "query for {seeker:?} failed: {body}");
+        let response = QueryResponse::from_json(&body).unwrap();
+        let served: Vec<(NodeId, f64)> =
+            response.results.iter().map(|r| (r.item, r.score)).collect();
+        assert_eq!(
+            served,
+            shadow_ranking(&fixture, seeker, &keywords, 3),
+            "a refused apply leaked into {seeker:?}'s answer"
+        );
+    }
 }
 
 #[test]

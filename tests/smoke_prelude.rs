@@ -121,8 +121,8 @@ fn prelude_exposes_live_index_maintenance() {
     let mut index = ExactIndex::builder(&model).build();
     let friend = model.network_of(john)[0];
     let events = vec![TagEvent::retract(friend, coors, "baseball")];
-    model.apply(&events);
-    let report: ApplyReport = index.apply(&model, &events);
+    model.try_apply(&events).unwrap();
+    let report: ApplyReport = index.try_apply_with(&Exec::auto(), &model, &events).unwrap();
     assert!(!report.is_noop());
     assert_eq!(index.stats(), ExactIndex::builder(&model).build().stats());
     assert!(index.query(john, &keywords, 1).ranked.is_empty());
@@ -131,7 +131,7 @@ fn prelude_exposes_live_index_maintenance() {
     // lockstep.
     let mut search = NetworkAwareSearch::build(&graph);
     let assign = vec![TagEvent::assign(friend, coors, "rockies")];
-    search.apply(&assign);
+    search.try_apply_with(&Exec::auto(), &assign).unwrap();
     assert_eq!(search.recommend(john, &["rockies".to_string()], 1)[0].item, coors);
 
     // Workload layer: deterministic synthetic event streams for the
